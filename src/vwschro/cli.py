@@ -57,6 +57,22 @@ _VALID_TESTS = {"plane_wave", "moderateness", "energy", "negligibility",
                 "consistency", "garding"}
 _KNOWN_KINDS = set(prob_mod.PROBLEM_KINDS)
 
+#: analyses that solve ``problem.kind`` at every net point
+_NET_SOLVE_TESTS = {"moderateness", "energy"}
+#: problem kinds whose per-point solve is wired, as builders
+#: ``(eps, grid, T, scale) -> Problem1D``
+_NET_BUILDERS = {
+    "delta_showcase_1d": lambda eps, grid, T, scale: prob_mod.delta_showcase_1d(
+        eps, grid=grid, T=T, data_scale=scale),
+    "smooth_classical_1d": lambda eps, grid, T, scale: prob_mod.smooth_classical_1d(
+        eps, grid=grid, T=T),
+    "free_particle_1d": lambda eps, grid, T, scale: prob_mod.free_particle_1d(
+        grid, T=T, eps=eps),
+}
+#: analyses bound to one dimension whatever the kind: garding certifies the
+#: 2D conjugation, negligibility and consistency run the 1D smooth control
+_TEST_DIMENSION = {"garding": 2, "negligibility": 1, "consistency": 1}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -178,6 +194,13 @@ def _validate(tree: dict, text: str) -> ExperimentConfig:
         if any(t in ("moderateness", "energy", "negligibility", "consistency")
                for t in tests):
             errors.append("net analyses require at least 4 net points")
+    if tests is not None and kind and kind not in _NET_BUILDERS:
+        for t in sorted(_NET_SOLVE_TESTS.intersection(tests)):
+            errors.append(f"analysis {t!r} is not wired for problem.kind {kind!r}")
+    if tests is not None and dim:
+        for t in tests:
+            if _TEST_DIMENSION.get(t, dim) != dim:
+                errors.append(f"analysis {t!r} needs dimension = {_TEST_DIMENSION[t]}")
     need("output", "dir", str)
     seed = tree.get("output", {}).get("seed", 0)
     if not isinstance(seed, int):
@@ -214,27 +237,27 @@ def _scale_of(cfg: ExperimentConfig) -> Scale:
 
 
 def _solve_point_factory(cfg: ExperimentConfig):
+    """The per-point solve ``eps -> Trajectory`` of the net analyses.
+
+    Each point is solved once per run; a point that raises is not kept
+    and raises again when asked for a second time.
+    """
     kind = cfg.problem["kind"]
+    if kind not in _NET_BUILDERS:
+        raise ConfigError([f"net analyses are not wired for kind {kind!r}"])
+    build = _NET_BUILDERS[kind]
     grid = _grid_of(cfg)
     T = float(cfg.problem["T"])
     dt = float(cfg.solver["dt"])
     m_set = tuple(cfg.solver["m_set"])
     scale = _scale_of(cfg)
+    solved: dict = {}
 
-    if kind == "delta_showcase_1d":
-        def solve_point(eps):
-            p = prob_mod.delta_showcase_1d(eps, grid=grid, T=T, data_scale=scale)
-            return solve_original(p, dt=dt, m_set=m_set)
-    elif kind == "smooth_classical_1d":
-        def solve_point(eps):
-            p = prob_mod.smooth_classical_1d(eps, grid=grid, T=T)
-            return solve_original(p, dt=dt, m_set=m_set)
-    elif kind == "free_particle_1d":
-        def solve_point(eps):
-            p = prob_mod.free_particle_1d(grid, T=T, eps=eps)
-            return solve_original(p, dt=dt, m_set=m_set)
-    else:
-        raise ConfigError([f"net analyses are not wired for kind {kind!r}"])
+    def solve_point(eps):
+        if eps not in solved:
+            solved[eps] = solve_original(build(eps, grid, T, scale), dt=dt, m_set=m_set)
+        return solved[eps]
+
     return solve_point
 
 
@@ -263,9 +286,9 @@ def _run_plane_wave(cfg: ExperimentConfig, sink: Path, rng) -> dict:
     return {"analysis": "plane_wave", "max_err": err, "verdict": bool(err < 1e-10)}
 
 
-def _run_moderateness(cfg, sink, workers) -> dict:
+def _run_moderateness(cfg, sink, workers, solve_point) -> dict:
     net = EpsNet(points=tuple(cfg.regularization["net"]), scale=_scale_of(cfg))
-    sn = run_net(_solve_point_factory(cfg), net, workers=workers)
+    sn = run_net(solve_point, net, workers=workers)
     reports = [fit_moderateness(sn, m) for m in cfg.solver["m_set"]]
     emit_reports(reports, sink / "moderateness")
     return {
@@ -277,9 +300,8 @@ def _run_moderateness(cfg, sink, workers) -> dict:
     }
 
 
-def _run_energy(cfg, sink, workers) -> dict:
+def _run_energy(cfg, sink, solve_point) -> dict:
     net = EpsNet(points=tuple(cfg.regularization["net"]), scale=_scale_of(cfg))
-    solve_point = _solve_point_factory(cfg)
     rows = []
     all_hold = True
     for eps in net.points:
@@ -361,13 +383,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     rng = np.random.default_rng(seed)
     results = []
     try:
-        for test in cfg.analysis["tests"]:
+        tests = cfg.analysis["tests"]
+        # moderateness and energy share one solve per net point
+        solve_point = (_solve_point_factory(cfg)
+                       if _NET_SOLVE_TESTS.intersection(tests) else None)
+        for test in tests:
             if test == "plane_wave":
                 results.append(_run_plane_wave(cfg, outdir, rng))
             elif test == "moderateness":
-                results.append(_run_moderateness(cfg, outdir, workers))
+                results.append(_run_moderateness(cfg, outdir, workers, solve_point))
             elif test == "energy":
-                results.append(_run_energy(cfg, outdir, workers))
+                results.append(_run_energy(cfg, outdir, solve_point))
             elif test == "negligibility":
                 results.append(_run_negligibility(cfg, outdir))
             elif test == "consistency":

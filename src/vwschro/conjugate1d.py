@@ -16,6 +16,11 @@ where A0 collects four zero-order contributions (assembled in
 :func:`build_conjugation`).  The conjugated problem is integrated by
 Strang splitting: the principal part is an exact Fourier multiplier, the
 zero-order part an exact pointwise phase.
+
+Every solver of the package, the Lawson routes in 1D and 2D included,
+advances through the one time loop :func:`_march`: a route supplies its
+step, the loop owns the step count, the norm track, the state storage
+and the blow-up check, and step observers see every state.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from scipy.integrate import cumulative_simpson
 
 from .errors import HypothesisViolationError, NumericalBlowupError, ParameterError
 from .regularize import RegularizedCoefficient
-from .spectral import Grid, GridFn, fft_derivative, l2_norm, sobolev_norm
+from .spectral import Grid, GridFn, fft_derivative, l2_norm, sobolev_norm, sobolev_norms
 from .trajectory import Trajectory
 
 __all__ = [
@@ -254,6 +259,65 @@ def _resolve_steps(T: float, dt: float) -> int:
     return n
 
 
+class _NormTrack:
+    """Step observer recording the ``H^m`` norms of every observed state
+    (one FFT per state for all m, see :func:`sobolev_norms`)."""
+
+    def __init__(self, m_set: Sequence[int]):
+        self.rows = {m: [] for m in m_set}
+
+    def __call__(self, t: float, u: GridFn):
+        for m, value in sobolev_norms(u, self.rows).items():
+            self.rows[m].append(value)
+
+    def norms(self) -> dict:
+        return {m: np.asarray(vals) for m, vals in self.rows.items()}
+
+
+def _march(grid: Grid, u0: GridFn, T: float, dt: float, step: Callable,
+           m_set: Sequence[int], store_stride: int,
+           observers: Sequence[Callable] = ()) -> Trajectory:
+    """The one time loop behind every solver.
+
+    ``step(t, h, u) -> u`` advances the sample array by ``h``; the last
+    step is shortened to land on ``T``.  The driver records the ``H^m``
+    norms of every state, stores states every ``store_stride`` steps
+    (default: about 16 over the run, the final state always), raises
+    :class:`NumericalBlowupError` once the state loses finiteness, and
+    calls each observer as ``observe(t, state)`` at t=0 and after every
+    step.
+    """
+    n_steps = _resolve_steps(T, dt)
+    track = _NormTrack(m_set)
+    observers = (track, *observers)
+    u = u0.values.astype(np.complex128)
+    cur = GridFn(grid, u)
+    for observe in observers:
+        observe(0.0, cur)
+    stride = store_stride if store_stride > 0 else max(1, n_steps // 16)
+    times = np.empty(n_steps + 1)
+    times[0] = 0.0
+    state_times = [0.0]
+    states = [cur]
+    t = 0.0
+    for j in range(n_steps):
+        h = min(dt, T - t)
+        u = step(t, h, u)
+        t += h
+        times[j + 1] = t
+        if not np.all(np.isfinite(u)):
+            raise NumericalBlowupError("solution lost finiteness", t=t)
+        cur = GridFn(grid, u)
+        for observe in observers:
+            observe(t, cur)
+        if (j + 1) % stride == 0 or j == n_steps - 1:
+            state_times.append(t)
+            states.append(cur)
+    return Trajectory(times=times, norms=track.norms(),
+                      state_times=np.asarray(state_times), states=tuple(states),
+                      meta={"dt": dt})
+
+
 def solve_conjugated(
     p: Problem1D,
     cd: ConjugationData,
@@ -262,8 +326,7 @@ def solve_conjugated(
     f_tilde: Callable | None = None,
     g_tilde: GridFn | None = None,
     store_stride: int = 0,
-    norm_transform: Callable | None = None,
-    step_hook: Callable | None = None,
+    observers: Sequence[Callable] = (),
 ) -> Trajectory:
     """Strang split-step integration of the conjugated problem
     ``D_t v + a(t) D^2 v + A0(t,x) v = f_tilde``.
@@ -274,71 +337,39 @@ def solve_conjugated(
     deposit, half phase at the three-quarter point.  Second order in dt,
     verified by self-convergence.
 
-    ``norm_transform(t, state)`` optionally maps each step's state before
-    a second family of norms is recorded (used by :func:`solve_original`
-    to track the pulled-back solution without re-running).  ``step_hook``
-    is called as ``hook(t, state)`` after every step (and once at t=0)
-    for streaming diagnostics such as the residual monitor.
+    ``observers`` are passed to the time loop and called as
+    ``observe(t, state)`` on the conjugated state at t=0 and after every
+    step (:func:`solve_original` tracks the pulled-back solution this
+    way without re-running).
     """
-    g = p.grid
-    k2 = g.freq_axis() ** 2
-    v = (g_tilde if g_tilde is not None else p.g).values.astype(np.complex128)
-    n_steps = _resolve_steps(p.T, dt)
-    times = np.empty(n_steps + 1)
-    times[0] = 0.0
-    norms = {m: np.empty(n_steps + 1) for m in m_set}
-    tnorms = {m: np.empty(n_steps + 1) for m in m_set} if norm_transform else None
-    fnorms = np.zeros(n_steps + 1)
-    first = GridFn(g, v)
-    for m in m_set:
-        norms[m][0] = sobolev_norm(first, m)
-        if tnorms is not None:
-            tnorms[m][0] = sobolev_norm(norm_transform(0.0, first), m)
-    if step_hook is not None:
-        step_hook(0.0, first)
-    stride = store_stride if store_stride > 0 else max(1, n_steps // 16)
-    state_times = [0.0]
-    states = [first]
+    k2 = p.grid.freq_axis() ** 2
+    fnorms: list[float] = []
     a0max_seen = 0.0
-    t = 0.0
-    for j in range(n_steps):
-        step = min(dt, p.T - t)
-        A0q = cd.A0(t + 0.25 * step).values
+
+    def step(t: float, h: float, v: np.ndarray) -> np.ndarray:
+        nonlocal a0max_seen
+        A0q = cd.A0(t + 0.25 * h).values
         a0max_seen = max(a0max_seen, float(np.max(np.abs(A0q))))
+        fnorm = 0.0
         # overflow is allowed to surface as inf and is converted into the
-        # blow-up error below
+        # blow-up error by the time loop
         with np.errstate(over="ignore", invalid="ignore"):
-            v = v * np.exp(-0.5j * step * A0q)
-            v = np.fft.ifft(
-                np.exp(-1j * _simpson_int_a(p.a, t, step) * k2) * np.fft.fft(v)
-            )
+            v = v * np.exp(-0.5j * h * A0q)
+            v = np.fft.ifft(np.exp(-1j * _simpson_int_a(p.a, t, h) * k2) * np.fft.fft(v))
             if f_tilde is not None:
-                src = f_tilde(t + 0.5 * step)
+                src = f_tilde(t + 0.5 * h)
                 if src is not None:
-                    v = v + 1j * step * src.values
-                    fnorms[j] = l2_norm(src)
-            v = v * np.exp(-0.5j * step * cd.A0(t + 0.75 * step).values)
-        t += step
-        times[j + 1] = t
-        if not np.all(np.isfinite(v)):
-            raise NumericalBlowupError("solution lost finiteness", t=t)
-        cur = GridFn(g, v)
-        for m in m_set:
-            norms[m][j + 1] = sobolev_norm(cur, m)
-            if tnorms is not None:
-                tnorms[m][j + 1] = sobolev_norm(norm_transform(t, cur), m)
-        if step_hook is not None:
-            step_hook(t, cur)
-        if (j + 1) % stride == 0 or j == n_steps - 1:
-            state_times.append(t)
-            states.append(cur)
-    meta = {"dt": dt, "eps": p.eps, "A0_max_seen": a0max_seen,
-            "f_norms": fnorms, "kind": "conjugated-1d"}
-    if tnorms is not None:
-        meta["transformed_norms"] = tnorms
-    return Trajectory(times=times, norms=norms,
-                      state_times=np.asarray(state_times), states=tuple(states),
-                      meta=meta)
+                    v = v + 1j * h * src.values
+                    fnorm = l2_norm(src)
+            v = v * np.exp(-0.5j * h * cd.A0(t + 0.75 * h).values)
+        fnorms.append(fnorm)
+        return v
+
+    tr = _march(p.grid, g_tilde if g_tilde is not None else p.g, p.T, dt, step,
+                m_set, store_stride, observers)
+    tr.meta.update({"eps": p.eps, "A0_max_seen": a0max_seen,
+                    "f_norms": np.asarray(fnorms + [0.0]), "kind": "conjugated-1d"})
+    return tr
 
 
 def solve_original(
@@ -355,8 +386,8 @@ def solve_original(
     ``e^{-F}``.  Norms of the pulled-back solution are recorded at every
     step.  With ``residual=True`` the discrete defect
     ``|S u - f|_{L2} / |u|_{L2}`` is evaluated along the run (time
-    derivative by a 4th-order stencil on consecutive states) and its
-    maximum lands in ``meta["residual_max_rel"]``.
+    derivative by a 4th-order stencil on five consecutive pulled-back
+    states) and its maximum lands in ``meta["residual_max_rel"]``.
 
     The conjugated trajectory itself is kept in ``meta["conjugated"]``
     for the energy monitor.
@@ -364,55 +395,42 @@ def solve_original(
     cd = build_conjugation(p)
     g_t = cd.expF(0.0) * p.g
     f_t = (lambda t: cd.expF(t) * p.f(t)) if p.f is not None else None
-    monitor = _ResidualMonitor(p, cd, dt) if residual else None
-    tr_v = solve_conjugated(
-        p, cd, dt, m_set, f_tilde=f_t, g_tilde=g_t,
-        store_stride=store_stride,
-        norm_transform=lambda t, s: cd.expmF(t) * s,
-        step_hook=monitor,
-    )
+    pulled = _NormTrack(m_set)
+    window: list[tuple[float, GridFn]] = []
+    residual_max = 0.0
+
+    def pull_back(t: float, v: GridFn):
+        nonlocal residual_max
+        u = cd.expmF(t) * v
+        pulled(t, u)
+        if residual:
+            window.append((t, u))
+            del window[:-5]
+            if len(window) == 5:
+                residual_max = max(residual_max, _defect(p, window, dt))
+
+    tr_v = solve_conjugated(p, cd, dt, m_set, f_tilde=f_t, g_tilde=g_t,
+                            store_stride=store_stride, observers=(pull_back,))
     u_states = tuple(cd.expmF(t) * s for t, s in zip(tr_v.state_times, tr_v.states))
     meta = {"dt": dt, "eps": p.eps, "kind": "original-1d",
             "expF_bound": cd.expF_bound, "A0_max_seen": tr_v.meta["A0_max_seen"],
             "B1_seam_gap": cd.meta["B1_seam_gap"]}
-    if monitor is not None:
-        meta["residual_max_rel"] = monitor.max_rel
+    if residual:
+        meta["residual_max_rel"] = residual_max
     meta["conjugated"] = tr_v
-    return Trajectory(
-        times=tr_v.times,
-        norms=tr_v.meta["transformed_norms"],
-        state_times=tr_v.state_times,
-        states=u_states,
-        meta=meta,
-    )
+    return Trajectory(times=tr_v.times, norms=pulled.norms(),
+                      state_times=tr_v.state_times, states=u_states, meta=meta)
 
 
-class _ResidualMonitor:
-    """Streaming defect monitor: keeps the last five pulled-back states and
-    evaluates ``|S u - f|_{L2} / |u|_{L2}`` at the window center, with the
-    time derivative from the 4th-order centered stencil."""
-
-    def __init__(self, p: Problem1D, cd: ConjugationData, dt: float):
-        self.p = p
-        self.cd = cd
-        self.dt = dt
-        self.window: list[tuple[float, GridFn]] = []
-        self.max_rel = 0.0
-
-    def __call__(self, t: float, v_state: GridFn):
-        u = self.cd.expmF(t) * v_state
-        self.window.append((t, u))
-        if len(self.window) > 5:
-            self.window.pop(0)
-        if len(self.window) < 5:
-            return
-        (t0, u0), (_, u1), (tc, uc), (_, u3), (_, u4) = self.window
-        dudt = (u0.values - 8.0 * u1.values + 8.0 * u3.values - u4.values) / (12.0 * self.dt)
-        Su = GridFn(self.p.grid, -1j * dudt) + apply_S_spatial(self.p, uc, tc)
-        if self.p.f is not None:
-            Su = Su - self.p.f(tc)
-        rel = l2_norm(Su) / max(l2_norm(uc), 1e-300)
-        self.max_rel = max(self.max_rel, rel)
+def _defect(p: Problem1D, window: list, dt: float) -> float:
+    """``|S u - f|_{L2} / |u|_{L2}`` at the center of five consecutive
+    states, with the time derivative from the 4th-order centered stencil."""
+    (_, u0), (_, u1), (tc, uc), (_, u3), (_, u4) = window
+    dudt = (u0.values - 8.0 * u1.values + 8.0 * u3.values - u4.values) / (12.0 * dt)
+    Su = GridFn(p.grid, -1j * dudt) + apply_S_spatial(p, uc, tc)
+    if p.f is not None:
+        Su = Su - p.f(tc)
+    return l2_norm(Su) / max(l2_norm(uc), 1e-300)
 
 
 def solve_mol(
@@ -457,52 +475,29 @@ def lawson_rk4(grid, a_fn, k2, nonstiff, g0: GridFn, T: float, dt: float,
     1D direct route and the 2D conjugated solver (which passes the
     lattice ``|k|^2`` and an operator-bundle nonstiff part).
     """
-    n_steps = _resolve_steps(T, dt)
-    u = g0.values.astype(np.complex128)
-    times = np.empty(n_steps + 1)
-    times[0] = 0.0
-    norms = {m: np.empty(n_steps + 1) for m in m_set}
-    first = GridFn(grid, u)
-    for m in m_set:
-        norms[m][0] = sobolev_norm(first, m)
-    stride = store_stride if store_stride > 0 else max(1, n_steps // 16)
-    state_times = [0.0]
-    states = [first]
-    t = 0.0
-    for j in range(n_steps):
-        step = min(dt, T - t)
-        I_half = _simpson_int_a(a_fn, t, 0.5 * step)
-        I_full = _simpson_int_a(a_fn, t, step)
+
+    def step(t: float, h: float, u: np.ndarray) -> np.ndarray:
+        I_half = _simpson_int_a(a_fn, t, 0.5 * h)
+        I_full = _simpson_int_a(a_fn, t, h)
         E_half = np.exp(-1j * I_half * k2)
         E_full = np.exp(-1j * I_full * k2)
         E_second = np.exp(-1j * (I_full - I_half) * k2)
         U = np.fft.fftn(u)
         N1 = np.fft.fftn(nonstiff(t, u))
-        Y2 = E_half * (U + 0.5 * step * N1)
-        N2 = np.fft.fftn(nonstiff(t + 0.5 * step, np.fft.ifftn(Y2)))
-        Y3 = E_half * U + 0.5 * step * N2
-        N3 = np.fft.fftn(nonstiff(t + 0.5 * step, np.fft.ifftn(Y3)))
-        Y4 = E_full * U + step * E_second * N3
-        N4 = np.fft.fftn(nonstiff(t + step, np.fft.ifftn(Y4)))
-        U_next = E_full * U + step / 6.0 * (
+        Y2 = E_half * (U + 0.5 * h * N1)
+        N2 = np.fft.fftn(nonstiff(t + 0.5 * h, np.fft.ifftn(Y2)))
+        Y3 = E_half * U + 0.5 * h * N2
+        N3 = np.fft.fftn(nonstiff(t + 0.5 * h, np.fft.ifftn(Y3)))
+        Y4 = E_full * U + h * E_second * N3
+        N4 = np.fft.fftn(nonstiff(t + h, np.fft.ifftn(Y4)))
+        U_next = E_full * U + h / 6.0 * (
             E_full * N1 + 2.0 * E_second * (N2 + N3) + N4
         )
-        u = np.fft.ifftn(U_next)
-        t += step
-        times[j + 1] = t
-        if not np.all(np.isfinite(u)):
-            raise NumericalBlowupError("solution lost finiteness", t=t)
-        cur = GridFn(grid, u)
-        for m in m_set:
-            norms[m][j + 1] = sobolev_norm(cur, m)
-        if (j + 1) % stride == 0 or j == n_steps - 1:
-            state_times.append(t)
-            states.append(cur)
-    md = {"dt": dt}
-    md.update(meta)
-    return Trajectory(times=times, norms=norms,
-                      state_times=np.asarray(state_times), states=tuple(states),
-                      meta=md)
+        return np.fft.ifftn(U_next)
+
+    tr = _march(grid, g0, T, dt, step, m_set, store_stride)
+    tr.meta.update(meta)
+    return tr
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .errors import InsufficientDataError, ParameterError, VwschroError
 from .fitting import fit_power_decay, fit_power_growth, loglog_fit
 from .regularize import Scale
 from .reporting import write_csv, write_json, write_plot_script
-from .spectral import gridfn_to_bytes
 from .trajectory import Trajectory
 
 __all__ = [
@@ -357,17 +356,3 @@ def _report_dict(rep) -> dict:
         return d
     return dict(rep)
 
-
-def save_trajectory_snapshots(tr: Trajectory, sink: Path, stem: str,
-                              stride: int = 1) -> list:
-    """Persist stored states in the flat binary layout; returns file names."""
-    sink = Path(sink)
-    sink.mkdir(parents=True, exist_ok=True)
-    names = []
-    for i, (t, s) in enumerate(zip(tr.state_times, tr.states)):
-        if i % stride:
-            continue
-        name = f"{stem}_state_{i:04d}.bin"
-        (sink / name).write_bytes(gridfn_to_bytes(s))
-        names.append(name)
-    return names

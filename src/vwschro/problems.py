@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conjugate1d import Problem1D, build_conjugation, solve_mol, solve_original
+from .conjugate1d import Problem1D, solve_mol
 from .dist import ClassicalFn, Delta, DistributionSpec, FiniteSum
 from .psdo import (
     CutoffChi,
@@ -414,14 +414,6 @@ def showcase_2d(
     lam = build_lambda(choice.M, choice.h, chi, grid)
     inv = invert_exp_lambda(lam, rng=rng)
     return Showcase2D(problem=prob, lam=lam, inverse=inv, M=choice.M, h=choice.h)
-
-
-def _solve_1d_showcase(eps: float, dt: float = 5e-4, m_set=(0, 1, 2), **kw) -> Trajectory:
-    return solve_original(delta_showcase_1d(eps, **kw), dt=dt, m_set=m_set)
-
-
-def _solve_1d_smooth(eps: float, dt: float = 1e-3, m_set=(0, 1, 2), **kw) -> Trajectory:
-    return solve_original(smooth_classical_1d(eps, **kw), dt=dt, m_set=m_set)
 
 
 #: registry used by the experiment runner

@@ -21,16 +21,16 @@ size of the imaginary first-order coefficients over ``2 C_a``; ``h`` is
 found by a doubling search until the composition residual
 ``e^{lambda}(x,D) e^{-lambda}(x,D) - I`` probes as a contraction.
 
-All exponential-symbol applications run through a dense row-sliced
-quantization with a per-operator row cache (the (x, xi) lattice values
-of ``e^{lambda}``), bounded by the same memory guard as the generic
-dense path.
+All exponential-symbol applications run through the dense row-sliced
+quantizer of :mod:`spectral`, fed from a per-operator row cache (the
+(x, xi) lattice values of ``e^{lambda}``) and bounded by the same memory
+guard as the generic dense path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .spectral import (
     Grid,
     GridFn,
     SymbolFn,
+    dense_quantize_2d,
     kn_quantize,
     l2_inner,
     l2_norm,
@@ -91,8 +92,6 @@ class CutoffChi:
     construction.
     """
 
-    sharpness: float = 1.0
-
     def __call__(self, t):
         t = np.abs(np.asarray(t, dtype=float))
         return _smoothstep(2.0 * (1.0 - t))
@@ -128,7 +127,6 @@ class LambdaSymbol:
     chi: CutoffChi
     grid: Grid
     certificates: dict = field(default_factory=dict)
-    cache_rows: bool = True
     _rows: list | None = field(default=None, repr=False)
 
     def lambda_slice(self, j1: int) -> np.ndarray:
@@ -142,15 +140,12 @@ class LambdaSymbol:
         return _lambda_values(self.M, self.h, self.chi, x[j1], X2, K1, K2)
 
     def exp_slice(self, j1: int, sign: int) -> np.ndarray:
-        if self.cache_rows:
-            if self._rows is None:
-                self._rows = [None] * self.grid.points
-            if self._rows[j1] is None:
-                self._rows[j1] = np.exp(self.lambda_slice(j1))
-            row = self._rows[j1]
-            return row if sign > 0 else 1.0 / row
-        lam = self.lambda_slice(j1)
-        return np.exp(lam if sign > 0 else -lam)
+        if self._rows is None:
+            self._rows = [None] * self.grid.points
+        if self._rows[j1] is None:
+            self._rows[j1] = np.exp(self.lambda_slice(j1))
+        row = self._rows[j1]
+        return row if sign > 0 else 1.0 / row
 
     def dlambda_slice(self, j1: int, axis: int) -> np.ndarray:
         """d lambda / d x_axis on the (x2, k1, k2) lattice at fixed x1."""
@@ -182,8 +177,7 @@ def _dlambda_values(M, h, chi: CutoffChi, x1, X2, K1, K2, axis: int):
     return -M * ej / (1.0 + s * s) * chi.one_minus(mag / h)
 
 
-def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid,
-                 cache_rows: bool = True) -> LambdaSymbol:
+def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid) -> LambdaSymbol:
     """Construct the symbol and verify its three lattice certificates.
 
     * support: ``lambda = 0`` wherever ``|xi| <= h/2`` (exact, via the
@@ -203,7 +197,7 @@ def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid,
         raise SizeGuardError(
             f"lattice {grid.points}^2 exceeds the dense symbol guard {DENSE_2D_GUARD}^2"
         )
-    ls = LambdaSymbol(M=float(M), h=float(h), chi=chi, grid=grid, cache_rows=cache_rows)
+    ls = LambdaSymbol(M=float(M), h=float(h), chi=chi, grid=grid)
     x = grid.axis()
     k = grid.freq_axis()
     K1 = k[None, :, None]
@@ -247,28 +241,6 @@ def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid,
     return ls
 
 
-def _quantize_rows(grid: Grid, row_getter: Callable[[int], np.ndarray],
-                   values: np.ndarray) -> np.ndarray:
-    """Dense quantization with symbol rows supplied per x1 slice.
-
-    Per slice the k1 sum is contracted first (einsum over the symbol row
-    against the phase-weighted coefficients), leaving an inverse DFT in
-    k2 evaluated on its diagonal.
-    """
-    n = grid.points
-    c = np.fft.fft2(values) / (n * n)
-    out = np.empty((n, n), dtype=np.complex128)
-    j2 = np.arange(n)
-    phase1 = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
-    for j1 in range(n):
-        P = row_getter(j1)
-        W = c * phase1[j1][:, None]
-        T = np.einsum("jab,ab->jb", P, W)
-        F = np.fft.ifft(T, axis=1) * n
-        out[j1, :] = F[j2, j2]
-    return out
-
-
 def apply_exp_lambda(sign: int, ls: LambdaSymbol, u: GridFn) -> GridFn:
     """Quantize ``e^{sign * lambda}(x, D) u`` (sign in {+1, -1}).
 
@@ -279,7 +251,7 @@ def apply_exp_lambda(sign: int, ls: LambdaSymbol, u: GridFn) -> GridFn:
         raise ParameterError("function and symbol live on different grids")
     if ls.M == 0.0:
         return u
-    out = _quantize_rows(ls.grid, lambda j1: ls.exp_slice(j1, sign), u.values)
+    out = dense_quantize_2d(ls.grid, lambda j1: ls.exp_slice(j1, sign), u.values)
     return GridFn(ls.grid, out)
 
 
@@ -565,7 +537,7 @@ class ConjugatedBundle:
         out = np.zeros(g.shape, dtype=np.complex128)
         for axis, kk in enumerate((self._k1, self._k2)):
             du = np.fft.ifft2(kk * uhat)
-            out = out + _quantize_rows(
+            out = out + dense_quantize_2d(
                 g, lambda j1, ax=axis: self.ls.dlambda_slice(j1, ax), du
             )
         return GridFn(g, 2j * float(self.p.a(t)) * out)
@@ -579,11 +551,6 @@ class ConjugatedBundle:
             - self.apply_lambda_correction(t, u)
         )
 
-    def apply_conjugated(self, t: float, u: GridFn) -> GridFn:
-        """Total conjugated spatial operator; identical to ``apply_full``
-        by construction (the explicit groups plus their complement)."""
-        return self.apply_full(t, u)
-
 
 def assemble_conjugated(p: Problem2D, ls: LambdaSymbol, inv: NeumannInverse) -> ConjugatedBundle:
     if ls.grid != p.grid:
@@ -596,7 +563,7 @@ def conjugation_identity_error_2d(bundle: ConjugatedBundle, v: GridFn, t: float)
     time-frozen test function (no time-derivative contribution: the
     symbol does not depend on t)."""
     ev = apply_exp_lambda(+1, bundle.ls, v)
-    lhs = bundle.apply_conjugated(t, ev)
+    lhs = bundle.apply_full(t, ev)
     rhs = apply_exp_lambda(+1, bundle.ls, bundle.apply_S(t, v))
     return l2_norm(lhs - rhs) / max(l2_norm(v), 1e-300)
 

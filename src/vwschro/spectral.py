@@ -102,13 +102,6 @@ class Grid:
             return (k,)
         return tuple(np.meshgrid(k, k, indexing="ij"))
 
-    def k_norm(self) -> np.ndarray:
-        """|k| over the frequency lattice."""
-        if self.dimension == 1:
-            return np.abs(self.freq_axis())
-        k1, k2 = self.k_meshes()
-        return np.hypot(k1, k2)
-
 
 class GridFn:
     """Complex-valued function sampled on a :class:`Grid`.
@@ -193,14 +186,6 @@ def _bracket_lattice(grid: Grid, two_m: int) -> np.ndarray:
     return w
 
 
-def fftn(u: GridFn) -> np.ndarray:
-    return np.fft.fftn(u.values)
-
-
-def ifftn(grid: Grid, values: np.ndarray) -> GridFn:
-    return GridFn(grid, np.fft.ifftn(values))
-
-
 def sobolev_norm(u: GridFn, m: int) -> float:
     """Discrete Sobolev norm ``H^m`` of a grid function.
 
@@ -209,13 +194,18 @@ def sobolev_norm(u: GridFn, m: int) -> float:
     quadrature weight.  For ``m = 0`` this agrees with the discrete L2
     norm ``(sum_j |u_j|^2 dx^d)^(1/2)`` (Parseval).
     """
-    if m < 0:
+    return sobolev_norms(u, (m,))[m]
+
+
+def sobolev_norms(u: GridFn, m_set: Sequence[int]) -> dict:
+    """``{m: sobolev_norm(u, m)}`` for every m in ``m_set``, from one FFT."""
+    if any(m < 0 for m in m_set):
         raise ParameterError("Sobolev index m must be a nonnegative integer")
     g = u.grid
-    coeffs = np.fft.fftn(u.values) / g.size
-    w = _bracket_lattice(g, 2 * int(m))
-    total = float(np.sum(w * np.abs(coeffs) ** 2)) * (2.0 * g.half_length) ** g.dimension
-    return float(np.sqrt(total))
+    power = np.abs(np.fft.fftn(u.values) / g.size) ** 2
+    cell = (2.0 * g.half_length) ** g.dimension
+    return {m: float(np.sqrt(float(np.sum(_bracket_lattice(g, 2 * int(m)) * power)) * cell))
+            for m in m_set}
 
 
 def l2_norm(u: GridFn) -> float:
@@ -333,30 +323,34 @@ def kn_quantize(p: SymbolFn, u: GridFn) -> GridFn:
             f"dense 2D quantization limited to {DENSE_2D_GUARD} points per axis, "
             f"got {g.points}; use a separable symbol instead"
         )
-    return GridFn(g, _dense_quantize_2d(g, p.data, u.values))
-
-
-def _dense_quantize_2d(g: Grid, fn: Callable, values: np.ndarray) -> np.ndarray:
-    """Row-sliced dense 2D quantization.
-
-    For each x1 slice the symbol is evaluated on the (x2, k1, k2) lattice;
-    the k1 sum is contracted first (einsum against the phase-weighted
-    coefficients), leaving an inverse DFT in k2 evaluated on its diagonal.
-    """
-    n = g.points
     x = g.axis()
     k = g.freq_axis()
     K1 = k[None, :, None]
     K2 = k[None, None, :]
     X2 = x[:, None, None]
+
+    def row(j1: int) -> np.ndarray:
+        return np.broadcast_to(np.asarray(p.data(x[j1], X2, K1, K2)), (g.points,) * 3)
+
+    return GridFn(g, dense_quantize_2d(g, row, u.values))
+
+
+def dense_quantize_2d(g: Grid, row: Callable[[int], np.ndarray],
+                      values: np.ndarray) -> np.ndarray:
+    """Row-sliced dense 2D quantization.
+
+    ``row(j1)`` is the symbol on the (x2, k1, k2) lattice at the x1 slice
+    ``j1``.  Per slice the k1 sum is contracted first (einsum against the
+    phase-weighted coefficients), leaving an inverse DFT in k2 evaluated
+    on its diagonal.
+    """
+    n = g.points
     c = np.fft.fft2(values) / (n * n)  # coefficient of e^{i k x} per mode
     out = np.empty((n, n), dtype=np.complex128)
     j2 = np.arange(n)
     phase1 = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     for j1 in range(n):
-        P = np.asarray(fn(x[j1], X2, K1, K2))
-        if P.shape != (n, n, n):
-            P = np.broadcast_to(P, (n, n, n))
+        P = row(j1)
         W = c * phase1[j1][:, None]
         T = np.einsum("jab,ab->jb", P, W)
         F = np.fft.ifft(T, axis=1) * n

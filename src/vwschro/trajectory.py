@@ -13,11 +13,14 @@ from .spectral import GridFn
 class Trajectory:
     """Solution record of one regularized solve.
 
-    ``times`` covers every step; ``norms[m]`` holds the ``H^m`` norm at
-    each time.  Full states are stored at a configurable stride
-    (``state_times`` / ``states``) with the initial state always present,
-    equal to the supplied datum.  ``meta`` carries solver settings,
-    residual maxima and auxiliary trajectories.
+    ``norms[m]`` holds the ``H^m`` norm at each of ``times``: every step
+    for the 1D routes, the stored times for the pulled-back 2D solution.
+    Full states are stored at a configurable stride (``state_times`` /
+    ``states``) with the initial state always present, equal to the
+    supplied datum.  ``meta`` carries the solver settings, what a route
+    recorded along the run (``A0_max_seen``, ``f_norms``,
+    ``residual_max_rel``) and, for pulled-back solutions, the conjugated
+    trajectory under ``"conjugated"``.
     """
 
     times: np.ndarray
@@ -31,7 +34,3 @@ class Trajectory:
 
     def final_state(self) -> GridFn:
         return self.states[-1]
-
-    def state_at(self, t: float) -> GridFn:
-        idx = int(np.argmin(np.abs(self.state_times - t)))
-        return self.states[idx]

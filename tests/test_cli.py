@@ -1,11 +1,14 @@
 """Config parsing, validation, and the experiment runner."""
 
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vwschro.cli as cli
 from vwschro.cli import ExperimentConfig, main, parse_config, run_experiment
 from vwschro.errors import ConfigError
 
@@ -148,13 +151,47 @@ class TestRunExperiment:
         assert not target.exists()
 
     def test_reproducible_outputs(self, tmp_path):
-        cfg_a = parse_config(MINIMAL.format(outdir=tmp_path / "a"))
-        cfg_b = parse_config(MINIMAL.format(outdir=tmp_path / "b"))
-        run_experiment(cfg_a)
-        run_experiment(cfg_b)
-        csv_a = (tmp_path / "a" / "plane_wave.csv").read_bytes()
-        csv_b = (tmp_path / "b" / "plane_wave.csv").read_bytes()
-        assert csv_a == csv_b
+        # every artifact of two runs of one config is byte-identical,
+        # including the net analyses that share their per-point solves
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(MINIMAL.format(outdir=tmp_path / "unused").replace(
+            "analysis.tests = [plane_wave]",
+            "analysis.tests = [plane_wave, moderateness, energy]\nsolver.m_set = [0, 1]"))
+        for name in ("a", "b"):
+            assert main(["run", str(cfg_path), "--output", str(tmp_path / name)]) == 0
+
+        def files(root):
+            return {p.relative_to(root): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        a, b = files(tmp_path / "a"), files(tmp_path / "b")
+        assert Path("energy.csv") in a
+        assert Path("moderateness/moderateness_001.csv") in a
+        assert a == b
+
+    def test_net_points_solved_once(self, tmp_path, monkeypatch):
+        # moderateness and energy share the per-point solves, also when
+        # more worker threads than cores fill the cache concurrently
+        calls = []
+        lock = threading.Lock()
+        solve = cli.solve_original
+
+        def counted(p, **kw):
+            with lock:
+                calls.append(p.eps)
+            return solve(p, **kw)
+
+        monkeypatch.setattr(cli, "solve_original", counted)
+        cfg = parse_config(MINIMAL.format(outdir=tmp_path / "run").replace(
+            "[plane_wave]", "[moderateness, energy]"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            status, _ = run_experiment(cfg, workers=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert status == 0
+        assert sorted(calls) == sorted(cfg.regularization["net"])
 
 
 class TestMainVerbs:
@@ -184,6 +221,22 @@ class TestMainVerbs:
         assert (out / "plane_wave.gp").exists()
         gp = (out / "plane_wave.gp").read_text()
         assert "plane_wave.csv" in gp
+
+    @pytest.mark.parametrize("kind,dim,tests", [
+        ("showcase_2d", 2, "[moderateness]"),
+        ("delta_showcase_1d", 1, "[garding]"),
+        ("showcase_2d", 2, "[negligibility]"),
+    ])
+    def test_validate_rejects_what_run_cannot_do(self, tmp_path, capsys, kind, dim, tests):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SHOWCASE.format(outdir=tmp_path / "out")
+                            .replace("delta_showcase_1d", kind)
+                            .replace("problem.dimension = 1", f"problem.dimension = {dim}")
+                            .replace("[moderateness]", tests))
+        assert main(["validate", str(cfg_path)]) == 2
+        assert "config error: analysis" in capsys.readouterr().err
+        assert main(["run", str(cfg_path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1

@@ -207,6 +207,19 @@ class TestSolveOriginal:
         tr_c = solve_conjugated(p, cd, dt=1e-3, m_set=(0,))
         assert l2_norm(tr_o.final_state() - tr_c.final_state()) < 1e-13
 
+    def test_norm_track_is_pulled_back_conjugated_state(self, grid1d_small):
+        # the recorded norms are those of e^{-F(t)} v(t), v the conjugated
+        # state, at every stored time and for every m
+        p = smooth_classical_1d(0.1, grid=grid1d_small, T=0.2)
+        cd = build_conjugation(p)
+        tr = solve_original(p, dt=2e-3, m_set=(0, 1, 2))
+        conj = tr.meta["conjugated"]
+        assert len(conj.states) > 2
+        for t, v in zip(conj.state_times, conj.states):
+            (j,) = np.flatnonzero(tr.times == t)
+            for m in (0, 1, 2):
+                assert tr.norms[m][j] == sobolev_norm(cd.expmF(t) * v, m)
+
     def test_unitary_with_selfadjoint_lower_order(self, grid1d):
         # a1 b1 = 0 and real a0 b0: the evolution is exactly unitary
         eps, T = 0.1, 0.5
