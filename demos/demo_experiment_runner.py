@@ -11,7 +11,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from vwschro import parse_config, run_experiment
+from vwschro.cli import parse_config, run_experiment
 
 CONFIG = """\
 # 1D free particle anchor plus a moderateness net on the singular showcase

@@ -102,6 +102,5 @@ from .netlab import (
     test_consistency,
     test_negligibility,
 )
-from .cli import ExperimentConfig, parse_config, run_experiment
 
 __version__ = "0.1.0"

@@ -53,25 +53,18 @@ from . import problems as prob_mod
 
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
 
-_VALID_TESTS = {"plane_wave", "moderateness", "energy", "negligibility",
-                "consistency", "garding"}
-_KNOWN_KINDS = set(prob_mod.PROBLEM_KINDS)
-
-#: analyses that solve ``problem.kind`` at every net point
-_NET_SOLVE_TESTS = {"moderateness", "energy"}
-#: problem kinds whose per-point solve is wired, as builders
-#: ``(eps, grid, T, scale) -> Problem1D``
-_NET_BUILDERS = {
-    "delta_showcase_1d": lambda eps, grid, T, scale: prob_mod.delta_showcase_1d(
-        eps, grid=grid, T=T, data_scale=scale),
-    "smooth_classical_1d": lambda eps, grid, T, scale: prob_mod.smooth_classical_1d(
-        eps, grid=grid, T=T),
-    "free_particle_1d": lambda eps, grid, T, scale: prob_mod.free_particle_1d(
-        grid, T=T, eps=eps),
+_NET_KINDS = frozenset(kind for kind, (_, build) in prob_mod.PROBLEM_KINDS.items()
+                       if build is not None)
+#: analysis -> the problem kinds it solves: moderateness and energy solve
+#: the kind's per-point builder, the others build their own fixed problem
+ANALYSES = {
+    "plane_wave": frozenset({"free_particle_1d", "free_particle_2d"}),
+    "moderateness": _NET_KINDS,
+    "energy": _NET_KINDS,
+    "negligibility": frozenset({"smooth_classical_1d"}),
+    "consistency": frozenset({"smooth_classical_1d"}),
+    "garding": frozenset({"showcase_2d"}),
 }
-#: analyses bound to one dimension whatever the kind: garding certifies the
-#: 2D conjugation, negligibility and consistency run the 1D smooth control
-_TEST_DIMENSION = {"garding": 2, "negligibility": 1, "consistency": 1}
 
 
 @dataclass(frozen=True)
@@ -163,8 +156,8 @@ def _validate(tree: dict, text: str) -> ExperimentConfig:
             return None
         return v
 
-    kind = need("problem", "kind", str,
-                lambda v: v in _KNOWN_KINDS, f"must be one of {sorted(_KNOWN_KINDS)}")
+    kind = need("problem", "kind", str, lambda v: v in prob_mod.PROBLEM_KINDS,
+                f"must be one of {sorted(prob_mod.PROBLEM_KINDS)}")
     dim = need("problem", "dimension", int, lambda v: v in (1, 2),
                "dimension must be 1 or 2")
     need("problem", "T", (int, float), lambda v: v > 0, "T must be positive")
@@ -172,7 +165,7 @@ def _validate(tree: dict, text: str) -> ExperimentConfig:
     need("problem", "points", int, lambda v: v >= 8 and (v & (v - 1)) == 0,
          "points must be a power of two")
     if kind and dim:
-        kind_dim = 2 if kind.endswith("2d") else 1
+        kind_dim = prob_mod.PROBLEM_KINDS[kind][0]
         if kind_dim != dim:
             errors.append(f"problem.kind {kind!r} is {kind_dim}D but dimension={dim}")
     scale_kind = tree.get("regularization", {}).get("scale", "standard")
@@ -188,19 +181,17 @@ def _validate(tree: dict, text: str) -> ExperimentConfig:
     if not (isinstance(m_set, list) and all(isinstance(m, int) and m >= 0 for m in m_set)):
         errors.append("solver.m_set must be a list of nonnegative integers")
     tests = need("analysis", "tests", list,
-                 lambda v: all(t in _VALID_TESTS for t in v),
-                 f"entries must be in {sorted(_VALID_TESTS)}")
+                 lambda v: all(t in ANALYSES for t in v),
+                 f"entries must be in {sorted(ANALYSES)}")
     if tests is not None and net is not None and len(net) < 4:
         if any(t in ("moderateness", "energy", "negligibility", "consistency")
                for t in tests):
             errors.append("net analyses require at least 4 net points")
-    if tests is not None and kind and kind not in _NET_BUILDERS:
-        for t in sorted(_NET_SOLVE_TESTS.intersection(tests)):
-            errors.append(f"analysis {t!r} is not wired for problem.kind {kind!r}")
-    if tests is not None and dim:
+    if tests is not None and kind:
         for t in tests:
-            if _TEST_DIMENSION.get(t, dim) != dim:
-                errors.append(f"analysis {t!r} needs dimension = {_TEST_DIMENSION[t]}")
+            if kind not in ANALYSES[t]:
+                errors.append(f"analysis {t!r} does not solve problem.kind {kind!r}; "
+                              f"it solves {sorted(ANALYSES[t])}")
     need("output", "dir", str)
     seed = tree.get("output", {}).get("seed", 0)
     if not isinstance(seed, int):
@@ -242,10 +233,7 @@ def _solve_point_factory(cfg: ExperimentConfig):
     Each point is solved once per run; a point that raises is not kept
     and raises again when asked for a second time.
     """
-    kind = cfg.problem["kind"]
-    if kind not in _NET_BUILDERS:
-        raise ConfigError([f"net analyses are not wired for kind {kind!r}"])
-    build = _NET_BUILDERS[kind]
+    build = prob_mod.PROBLEM_KINDS[cfg.problem["kind"]][1]
     grid = _grid_of(cfg)
     T = float(cfg.problem["T"])
     dt = float(cfg.solver["dt"])
@@ -383,11 +371,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1,
     rng = np.random.default_rng(seed)
     results = []
     try:
-        tests = cfg.analysis["tests"]
         # moderateness and energy share one solve per net point
-        solve_point = (_solve_point_factory(cfg)
-                       if _NET_SOLVE_TESTS.intersection(tests) else None)
-        for test in tests:
+        solve_point = _solve_point_factory(cfg)
+        for test in cfg.analysis["tests"]:
             if test == "plane_wave":
                 results.append(_run_plane_wave(cfg, outdir, rng))
             elif test == "moderateness":

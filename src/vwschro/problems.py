@@ -22,7 +22,6 @@ from .dist import ClassicalFn, Delta, DistributionSpec, FiniteSum
 from .psdo import (
     CutoffChi,
     Problem2D,
-    build_lambda,
     choose_parameters,
     imag_coefficient_bound,
     invert_exp_lambda,
@@ -411,16 +410,21 @@ def showcase_2d(
     chi = CutoffChi()
     cbound = imag_coefficient_bound(prob.a_coeffs, prob.b_fields, T)
     choice = choose_parameters(cbound, prob.ca, eps, exponent_sum, grid, chi, rng=rng)
-    lam = build_lambda(choice.M, choice.h, chi, grid)
-    inv = invert_exp_lambda(lam, rng=rng)
-    return Showcase2D(problem=prob, lam=lam, inverse=inv, M=choice.M, h=choice.h)
+    inv = invert_exp_lambda(choice.lam, rng=rng)
+    return Showcase2D(problem=prob, lam=choice.lam, inverse=inv, M=choice.M, h=choice.h)
 
 
-#: registry used by the experiment runner
+#: the problem kinds: ``kind -> (dimension, build)``.  ``build(eps, grid,
+#: T, scale)`` is the per-point problem the net analyses solve, ``None``
+#: where no net solve is wired.  The builders look their problem function
+#: up in this module when called, so a patched module attribute is seen.
 PROBLEM_KINDS = {
-    "free_particle_1d": free_particle_1d,
-    "free_particle_2d": free_particle_2d,
-    "delta_showcase_1d": delta_showcase_1d,
-    "smooth_classical_1d": smooth_classical_1d,
-    "showcase_2d": showcase_2d,
+    "free_particle_1d": (1, lambda eps, grid, T, scale: free_particle_1d(
+        grid, T=T, eps=eps)),
+    "free_particle_2d": (2, None),
+    "delta_showcase_1d": (1, lambda eps, grid, T, scale: delta_showcase_1d(
+        eps, grid=grid, T=T, data_scale=scale)),
+    "smooth_classical_1d": (1, lambda eps, grid, T, scale: smooth_classical_1d(
+        eps, grid=grid, T=T)),
+    "showcase_2d": (2, None),
 }

@@ -54,6 +54,7 @@ from .spectral import (
     l2_norm,
     operator_norm_probe,
     random_bandlimited,
+    slice_lattice,
     sobolev_norm,
 )
 from .trajectory import Trajectory
@@ -131,12 +132,7 @@ class LambdaSymbol:
 
     def lambda_slice(self, j1: int) -> np.ndarray:
         """lambda on the (x2, k1, k2) lattice for fixed x1 = axis[j1]."""
-        g = self.grid
-        x = g.axis()
-        k = g.freq_axis()
-        K1 = k[None, :, None]
-        K2 = k[None, None, :]
-        X2 = x[:, None, None]
+        x, _, X2, K1, K2 = slice_lattice(self.grid)
         return _lambda_values(self.M, self.h, self.chi, x[j1], X2, K1, K2)
 
     def exp_slice(self, j1: int, sign: int) -> np.ndarray:
@@ -149,12 +145,7 @@ class LambdaSymbol:
 
     def dlambda_slice(self, j1: int, axis: int) -> np.ndarray:
         """d lambda / d x_axis on the (x2, k1, k2) lattice at fixed x1."""
-        g = self.grid
-        x = g.axis()
-        k = g.freq_axis()
-        K1 = k[None, :, None]
-        K2 = k[None, None, :]
-        X2 = x[:, None, None]
+        x, _, X2, K1, K2 = slice_lattice(self.grid)
         return _dlambda_values(self.M, self.h, self.chi, x[j1], X2, K1, K2, axis)
 
 
@@ -198,11 +189,7 @@ def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid) -> LambdaSymbol
             f"lattice {grid.points}^2 exceeds the dense symbol guard {DENSE_2D_GUARD}^2"
         )
     ls = LambdaSymbol(M=float(M), h=float(h), chi=chi, grid=grid)
-    x = grid.axis()
-    k = grid.freq_axis()
-    K1 = k[None, :, None]
-    K2 = k[None, None, :]
-    X2 = x[:, None, None]
+    x, k, X2, K1, K2 = slice_lattice(grid)
     sup_abs = 0.0
     sign_max = -np.inf
     witness = None
@@ -370,12 +357,16 @@ def invert_exp_lambda(
 
 @dataclass(frozen=True)
 class ParameterChoice:
+    """The accepted (M, h), the symbol built for them (certificates and
+    row cache included) and the search log."""
+
     M: float
     h: float
     residual_probe: float
     h_bracket: float | None
     bracket_probe: float | None
     log: tuple
+    lam: LambdaSymbol
 
 
 def select_M(coeff_bound: float, ca: float, eps: float, exponent_sum: float) -> float:
@@ -411,8 +402,10 @@ def choose_parameters(
     M = select_M(coeff_bound, ca, eps, exponent_sum)
     log = []
     if M == 0.0:
-        return ParameterChoice(M=0.0, h=max(1.0, h_start), residual_probe=0.0,
-                               h_bracket=None, bracket_probe=None, log=(("M=0", 1.0, 0.0),))
+        h = max(1.0, h_start)
+        return ParameterChoice(M=0.0, h=h, residual_probe=0.0,
+                               h_bracket=None, bracket_probe=None, log=(("M=0", 1.0, 0.0),),
+                               lam=build_lambda(0.0, h, chi, grid))
     resolvable = (2.0 / 3.0) * grid.nyquist
     h = max(1.0, float(h_start))
     prev = None
@@ -431,7 +424,7 @@ def choose_parameters(
             return ParameterChoice(M=M, h=h, residual_probe=nrm,
                                    h_bracket=prev[0] if prev else None,
                                    bracket_probe=prev[1] if prev else None,
-                                   log=tuple(log))
+                                   log=tuple(log), lam=ls)
         prev = (h, nrm)
         h *= 2.0
 
@@ -606,32 +599,40 @@ def garding_certify(
     if rng is None:
         rng = np.random.default_rng(0)
     g = p.grid
-    x = g.axis()
-    k = g.freq_axis()
-    K1 = k[None, :, None]
-    K2 = k[None, None, :]
-    X2 = x[:, None, None]
+    if ls.grid != g:
+        raise ParameterError("symbol and problem live on different grids")
+    x, k, X2, K1, K2 = slice_lattice(g)
     e1, e2, mag = _unit_freq(K1, K2)
     cut_hi = ls.chi.one_minus(mag / ls.h)
-    ts = np.linspace(0.0, p.T, t_samples)
-    lattice_min = np.inf
-    scale = 0.0
-    witness = None
-    for t in ts:
+    safe = np.where(mag > 0, mag, 1e-300)
+
+    def symbol_rows(t: float):
+        """The symbol at time t, as its x1 slice ``j1 -> (x2, k1, k2)``."""
         a_t = float(p.a(t))
         im1 = np.imag(complex(p.a_coeffs[0](t)) * p.b_fields[0].values)
         im2 = np.imag(complex(p.a_coeffs[1](t)) * p.b_fields[1].values)
-        for j1 in range(g.points):
+
+        def row(j1: int) -> np.ndarray:
             s = x[j1] * e1 + X2 * e2
             base = 1.0 / (1.0 + s * s)
-            xb = np.sqrt(1.0 + x[j1] ** 2 + x[:, None, None] ** 2)
-            cut_x = ls.chi(xb / np.where(mag > 0, mag, 1e-300))
-            sym = (
+            cut_x = ls.chi(np.sqrt(1.0 + x[j1] ** 2 + X2**2) / safe)
+            return (
                 -(im1[j1][:, None, None] * K1 + im2[j1][:, None, None] * K2)
                 * cut_hi
                 * cut_x
                 + 2.0 * a_t * ls.M * mag * base * cut_hi
             )
+
+        return row
+
+    ts = np.linspace(0.0, p.T, t_samples)
+    lattice_min = np.inf
+    scale = 0.0
+    witness = None
+    for t in ts:
+        row = symbol_rows(t)
+        for j1 in range(g.points):
+            sym = row(j1)
             mn = float(np.min(sym))
             scale = max(scale, float(np.max(np.abs(sym))))
             if mn < lattice_min:
@@ -640,29 +641,11 @@ def garding_certify(
                 witness = (float(t), float(x[j1]), float(x[idx[0]]),
                            float(k[idx[1]]), float(k[idx[2]]))
     # quadratic-form surrogate at the worst sampled time
-    t_mid = float(ts[t_samples // 2])
-    a_t = float(p.a(t_mid))
-    im1 = np.imag(complex(p.a_coeffs[0](t_mid)) * p.b_fields[0].values)
-    im2 = np.imag(complex(p.a_coeffs[1](t_mid)) * p.b_fields[1].values)
-
-    def psym(x1, X2l, K1l, K2l):
-        e1l, e2l, magl = _unit_freq(K1l, K2l)
-        sl = x1 * e1l + X2l * e2l
-        cut_hil = ls.chi.one_minus(magl / ls.h)
-        xbl = np.sqrt(1.0 + x1**2 + (X2l * np.ones_like(magl)) ** 2)
-        cut_xl = ls.chi(xbl / np.where(magl > 0, magl, 1e-300))
-        j1 = int(np.argmin(np.abs(x - x1)))
-        return (
-            -(im1[j1][:, None, None] * K1l + im2[j1][:, None, None] * K2l)
-            * cut_hil * cut_xl
-            + 2.0 * a_t * ls.M * magl / (1.0 + sl * sl) * cut_hil
-        )
-
+    row = symbol_rows(float(ts[t_samples // 2]))
     worst_quad = 0.0
-    sym_op = SymbolFn.dense(g, psym)
     for _ in range(quad_probes):
         u = random_bandlimited(g, rng, localized=True)
-        val = np.real(l2_inner(kn_quantize(sym_op, u), u))
+        val = np.real(l2_inner(GridFn(g, dense_quantize_2d(g, row, u.values)), u))
         worst_quad = max(worst_quad, max(0.0, -val) / max(l2_norm(u) ** 2, 1e-300))
     tol = 1e-12 * max(scale, 1.0)
     return GardingCertificate(

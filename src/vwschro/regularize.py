@@ -23,6 +23,7 @@ coordinates because the epsilon values it needs (``omega <= 1`` requires
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -203,8 +204,13 @@ class Mollifier:
         return float(np.trapezoid(x**k * self.value(x), x))
 
 
+@lru_cache(maxsize=None)
 def _gl_nodes(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed on first use
+    and shared read-only by every caller."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 

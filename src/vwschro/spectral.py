@@ -323,16 +323,21 @@ def kn_quantize(p: SymbolFn, u: GridFn) -> GridFn:
             f"dense 2D quantization limited to {DENSE_2D_GUARD} points per axis, "
             f"got {g.points}; use a separable symbol instead"
         )
-    x = g.axis()
-    k = g.freq_axis()
-    K1 = k[None, :, None]
-    K2 = k[None, None, :]
-    X2 = x[:, None, None]
+    x, _, X2, K1, K2 = slice_lattice(g)
 
     def row(j1: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(p.data(x[j1], X2, K1, K2)), (g.points,) * 3)
 
     return GridFn(g, dense_quantize_2d(g, row, u.values))
+
+
+def slice_lattice(g: Grid) -> tuple[np.ndarray, ...]:
+    """The (x2, k1, k2) lattice of one x1 slice of a 2D symbol:
+    ``(x, k, X2, K1, K2)``, the axes and their broadcastable forms
+    ``x[:, None, None]``, ``k[None, :, None]``, ``k[None, None, :]``."""
+    x = g.axis()
+    k = g.freq_axis()
+    return x, k, x[:, None, None], k[None, :, None], k[None, None, :]
 
 
 def dense_quantize_2d(g: Grid, row: Callable[[int], np.ndarray],

@@ -1,6 +1,8 @@
 """Config parsing, validation, and the experiment runner."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -237,6 +239,47 @@ class TestMainVerbs:
         assert "config error: analysis" in capsys.readouterr().err
         assert main(["run", str(cfg_path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    #: the (kind, analysis) pairs a run can do; every other pair is refused
+    SOLVABLE = {
+        ("free_particle_1d", "plane_wave"), ("free_particle_2d", "plane_wave"),
+        ("free_particle_1d", "moderateness"), ("free_particle_1d", "energy"),
+        ("delta_showcase_1d", "moderateness"), ("delta_showcase_1d", "energy"),
+        ("smooth_classical_1d", "moderateness"), ("smooth_classical_1d", "energy"),
+        ("smooth_classical_1d", "negligibility"), ("smooth_classical_1d", "consistency"),
+        ("showcase_2d", "garding"),
+    }
+
+    @pytest.mark.parametrize("analysis", ["plane_wave", "moderateness", "energy",
+                                          "negligibility", "consistency", "garding"])
+    @pytest.mark.parametrize("kind,dim", [
+        ("free_particle_1d", 1), ("free_particle_2d", 2), ("delta_showcase_1d", 1),
+        ("smooth_classical_1d", 1), ("showcase_2d", 2),
+    ])
+    def test_validate_accepts_exactly_the_solvable_pairs(self, tmp_path, capsys,
+                                                         kind, dim, analysis):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(SHOWCASE.format(outdir=tmp_path / "out")
+                            .replace("delta_showcase_1d", kind)
+                            .replace("problem.dimension = 1", f"problem.dimension = {dim}")
+                            .replace("[moderateness]", f"[{analysis}]"))
+        status = main(["validate", str(cfg_path)])
+        if (kind, analysis) in self.SOLVABLE:
+            assert status == 0
+        else:
+            assert status == 2
+            assert f"config error: analysis '{analysis}'" in capsys.readouterr().err
+
+    def test_module_entry_point_without_runtime_warning(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vwschro.cli",
+             "validate", "demos/configs/free_particle_1d.cfg"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_config(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1

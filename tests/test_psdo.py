@@ -109,6 +109,34 @@ class TestSelectParameters:
         # search log records every probe
         assert all(entry[0] == "probe" for entry in choice.log)
 
+    def test_showcase_builds_one_symbol_per_rung(self, monkeypatch):
+        # the showcase solves with the symbol of the accepted rung, its
+        # certificates and row cache included; it builds no second one
+        import vwschro.problems as problems
+        import vwschro.psdo as psdo
+
+        built, choices = [], []
+        build, choose = psdo.build_lambda, problems.choose_parameters
+
+        def counted_build(*args, **kwargs):
+            built.append(build(*args, **kwargs))
+            return built[-1]
+
+        def recorded_choose(*args, **kwargs):
+            choices.append(choose(*args, **kwargs))
+            return choices[-1]
+
+        monkeypatch.setattr(psdo, "build_lambda", counted_build)
+        monkeypatch.setattr(problems, "choose_parameters", recorded_choose)
+        # this coupling fails the first rung (h = 1) and passes the second
+        sc = showcase_2d(0.2, Grid(2, 32, 10.0), T=0.01, im_coupling=1.0,
+                         rng=np.random.default_rng(0))
+        (choice,) = choices
+        assert [entry[1] for entry in choice.log] == [1.0, 2.0]
+        assert len(built) == len(choice.log)
+        assert sc.lam is built[-1] is choice.lam
+        assert (sc.lam.M, sc.lam.h) == (sc.M, sc.h) == (choice.M, choice.h)
+
     def test_doubling_search_brackets(self, grid2d):
         # bracketing oracle: at this M the first rung fails the threshold
         # and the next passes; both endpoints are re-probed
