@@ -55,15 +55,28 @@ _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
 
 _NET_KINDS = frozenset(kind for kind, (_, build) in prob_mod.PROBLEM_KINDS.items()
                        if build is not None)
-#: analysis -> the problem kinds it solves: moderateness and energy solve
-#: the kind's per-point builder, the others build their own fixed problem
+#: fewest eps-net points an analysis that fits over the net accepts
+MIN_NET_POINTS = 4
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """The problem kinds an analysis solves, and whether it fits over the
+    eps net (and so needs at least :data:`MIN_NET_POINTS` points)."""
+
+    kinds: frozenset
+    over_net: bool
+
+
+#: analysis -> what it solves: moderateness and energy solve the kind's
+#: per-point builder, the others build their own fixed problem
 ANALYSES = {
-    "plane_wave": frozenset({"free_particle_1d", "free_particle_2d"}),
-    "moderateness": _NET_KINDS,
-    "energy": _NET_KINDS,
-    "negligibility": frozenset({"smooth_classical_1d"}),
-    "consistency": frozenset({"smooth_classical_1d"}),
-    "garding": frozenset({"showcase_2d"}),
+    "plane_wave": Analysis(frozenset({"free_particle_1d", "free_particle_2d"}), False),
+    "moderateness": Analysis(_NET_KINDS, True),
+    "energy": Analysis(_NET_KINDS, True),
+    "negligibility": Analysis(frozenset({"smooth_classical_1d"}), True),
+    "consistency": Analysis(frozenset({"smooth_classical_1d"}), True),
+    "garding": Analysis(frozenset({"showcase_2d"}), False),
 }
 
 
@@ -183,15 +196,16 @@ def _validate(tree: dict, text: str) -> ExperimentConfig:
     tests = need("analysis", "tests", list,
                  lambda v: all(t in ANALYSES for t in v),
                  f"entries must be in {sorted(ANALYSES)}")
-    if tests is not None and net is not None and len(net) < 4:
-        if any(t in ("moderateness", "energy", "negligibility", "consistency")
-               for t in tests):
-            errors.append("net analyses require at least 4 net points")
+    if tests is not None and net is not None and len(net) < MIN_NET_POINTS:
+        over_net = sorted(t for t in tests if ANALYSES[t].over_net)
+        if over_net:
+            errors.append(f"net analyses {over_net} require at least "
+                          f"{MIN_NET_POINTS} net points")
     if tests is not None and kind:
         for t in tests:
-            if kind not in ANALYSES[t]:
+            if kind not in ANALYSES[t].kinds:
                 errors.append(f"analysis {t!r} does not solve problem.kind {kind!r}; "
-                              f"it solves {sorted(ANALYSES[t])}")
+                              f"it solves {sorted(ANALYSES[t].kinds)}")
     need("output", "dir", str)
     seed = tree.get("output", {}).get("seed", 0)
     if not isinstance(seed, int):

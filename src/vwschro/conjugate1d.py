@@ -25,7 +25,7 @@ and the blow-up check, and step observers see every state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +48,11 @@ __all__ = [
     "EnergyReport",
     "conjugation_identity_error",
 ]
+
+
+#: times on [0, T] at which a problem's coefficients are sampled for its
+#: hypothesis checks and the conjugation bounds
+T_SAMPLES = 65
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class Problem1D:
     def __post_init__(self):
         if self.grid.dimension != 1:
             raise ParameterError("Problem1D requires a 1D grid")
-        ts = np.linspace(0.0, self.T, 65)
+        ts = np.linspace(0.0, self.T, T_SAMPLES)
         av = np.asarray(self.a(ts), dtype=float)
         if np.any(av < 0.5 * self.ca - 1e-12) or np.any(av > self.ca_tilde + 1e-9):
             raise HypothesisViolationError(
@@ -146,7 +151,7 @@ def antiderivative_B1(b1: GridFn, refine: int = 32) -> GridFn:
     return GridFn(g, cum[::refine])
 
 
-def build_conjugation(p: Problem1D, t_samples: int = 65) -> ConjugationData:
+def build_conjugation(p: Problem1D, t_samples: int = T_SAMPLES) -> ConjugationData:
     """Assemble B1, F and the conjugated zero-order coefficient A0.
 
     A0 is evaluated exactly per the closed formula
@@ -259,6 +264,43 @@ def _resolve_steps(T: float, dt: float) -> int:
     return n
 
 
+def _step_times(T: float, dt: float) -> tuple[list, list]:
+    """The times ``t_0 = 0, ..., t_n`` of the time loop and the step
+    lengths ``h_j``, accumulated as ``t_{j+1} = t_j + h_j`` with the last
+    step shortened to land on ``T``.  The loop and the coefficient tables
+    both read these floats."""
+    times, hs = [0.0], []
+    for _ in range(_resolve_steps(T, dt)):
+        hs.append(min(dt, T - times[-1]))
+        times.append(times[-1] + hs[-1])
+    return times, hs
+
+
+def _coefficient_times(T: float, dt: float, half_steps: bool) -> np.ndarray:
+    """Every time at which a solve reads its time coefficients, sorted.
+
+    A Strang step reads ``t_j + c h_j`` for ``c`` in ``{0, 1/4, 1/2, 3/4,
+    1}``; a Lawson step also runs Simpson on the half step, which reads
+    ``t_j + c (h_j / 2)`` (``half_steps``).  Each time is computed by the
+    same float operations as in the step, so a table lookup hits exactly.
+    The conjugation's :data:`T_SAMPLES` samples are included.
+    """
+    times, hs = _step_times(T, dt)
+    t, h = np.asarray(times[:-1]), np.asarray(hs)
+    reads = [np.linspace(0.0, T, T_SAMPLES), np.asarray(times)]
+    for step in ((h, 0.5 * h) if half_steps else (h,)):
+        reads += [t + c * step for c in (0.25, 0.5, 0.75, 1.0)]
+    return np.unique(np.concatenate(reads))
+
+
+def _tabulated(p: Problem1D, dt: float, half_steps: bool) -> Problem1D:
+    """``p`` with ``a``, ``a1`` and ``a0`` read from tables at every time
+    a solve with step ``dt`` asks for; a fresh copy per solve, so
+    concurrent solves share no table."""
+    ts = _coefficient_times(p.T, dt, half_steps)
+    return replace(p, a=p.a.tabulated(ts), a1=p.a1.tabulated(ts), a0=p.a0.tabulated(ts))
+
+
 class _NormTrack:
     """Step observer recording the ``H^m`` norms of every observed state
     (one FFT per state for all m, see :func:`sobolev_norms`)."""
@@ -287,7 +329,8 @@ def _march(grid: Grid, u0: GridFn, T: float, dt: float, step: Callable,
     calls each observer as ``observe(t, state)`` at t=0 and after every
     step.
     """
-    n_steps = _resolve_steps(T, dt)
+    times, hs = _step_times(T, dt)
+    n_steps = len(hs)
     track = _NormTrack(m_set)
     observers = (track, *observers)
     u = u0.values.astype(np.complex128)
@@ -295,16 +338,11 @@ def _march(grid: Grid, u0: GridFn, T: float, dt: float, step: Callable,
     for observe in observers:
         observe(0.0, cur)
     stride = store_stride if store_stride > 0 else max(1, n_steps // 16)
-    times = np.empty(n_steps + 1)
-    times[0] = 0.0
     state_times = [0.0]
     states = [cur]
-    t = 0.0
-    for j in range(n_steps):
-        h = min(dt, T - t)
-        u = step(t, h, u)
-        t += h
-        times[j + 1] = t
+    for j, h in enumerate(hs):
+        u = step(times[j], h, u)
+        t = times[j + 1]
         if not np.all(np.isfinite(u)):
             raise NumericalBlowupError("solution lost finiteness", t=t)
         cur = GridFn(grid, u)
@@ -313,7 +351,7 @@ def _march(grid: Grid, u0: GridFn, T: float, dt: float, step: Callable,
         if (j + 1) % stride == 0 or j == n_steps - 1:
             state_times.append(t)
             states.append(cur)
-    return Trajectory(times=times, norms=track.norms(),
+    return Trajectory(times=np.asarray(times), norms=track.norms(),
                       state_times=np.asarray(state_times), states=tuple(states),
                       meta={"dt": dt})
 
@@ -392,6 +430,7 @@ def solve_original(
     The conjugated trajectory itself is kept in ``meta["conjugated"]``
     for the energy monitor.
     """
+    p = _tabulated(p, dt, half_steps=False)
     cd = build_conjugation(p)
     g_t = cd.expF(0.0) * p.g
     f_t = (lambda t: cd.expF(t) * p.f(t)) if p.f is not None else None
@@ -445,6 +484,7 @@ def solve_mol(
     Serves as the independent second path for the uniqueness surrogate
     and as the reference integrator of the consistency experiments.
     """
+    p = _tabulated(p, dt, half_steps=True)
     g = p.grid
     k = g.freq_axis()
 

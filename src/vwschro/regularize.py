@@ -22,7 +22,7 @@ coordinates because the epsilon values it needs (``omega <= 1`` requires
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -212,6 +212,36 @@ def _gl_nodes(n: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+#: times per block of :func:`_panel_quadrature`: its temporaries stay near
+#: half a megabyte however many times are asked for (blocks of 64 raised
+#: the peak resident memory of a 1D net run by about 1%, at no gain in speed)
+_QUAD_BLOCK = 32
+
+
+def _panel_quadrature(t, edges: Callable, integrand: Callable, n_nodes: int) -> np.ndarray:
+    """Composite Gauss-Legendre integrals, one per time in ``t``.
+
+    ``edges(tb)`` gives the panel edges for a block of times, shape
+    ``(times, panels + 1)``, nondecreasing along each row; a panel outside
+    a time's window has zero width and adds nothing.  ``integrand(tb, x)``
+    is evaluated at the nodes ``x``, shape ``(times, panels, nodes)``, with
+    ``tb`` shaped ``(times, 1, 1)``.  Each time's panels are summed in
+    their order, so a value is the float a loop over its panels gives.
+    """
+    s, w = _gl_nodes(n_nodes)
+    t = np.asarray(t, dtype=float).ravel()
+    blocks = []
+    for lo in range(0, t.size, _QUAD_BLOCK):
+        tb = t[lo : lo + _QUAD_BLOCK]
+        e = edges(tb)
+        mid = 0.5 * (e[:, :-1] + e[:, 1:])
+        half = 0.5 * (e[:, 1:] - e[:, :-1])
+        x = mid[..., None] + half[..., None] * s
+        panels = np.sum(integrand(tb[:, None, None], x) * w, axis=-1) * half
+        blocks.append(np.add.accumulate(panels, axis=1)[:, -1])
+    return np.concatenate(blocks) if blocks else np.zeros(0)
 
 
 _BUMP_MASS = quad(
@@ -413,6 +443,17 @@ class RegularizedCoefficient:
             raise UnsupportedVariantError("no derivative recorded for this coefficient")
         return self.dfn(t)
 
+    def tabulated(self, times) -> "RegularizedCoefficient":
+        """Copy whose ``fn`` and ``dfn`` read tables at the sorted ``times``.
+
+        Each table is filled by one vectorized call on first use; a time
+        off the table falls back to the untabulated function, so the copy
+        agrees with this coefficient everywhere.
+        """
+        times = np.asarray(times, dtype=float)
+        return replace(self, fn=_Tabulated(self.fn, times),
+                       dfn=None if self.dfn is None else _Tabulated(self.dfn, times))
+
     def weighted_sup(self, grid: Grid | None = None) -> float:
         """sup of |values| * <x>^2 on the grid (for decay-tagged b's)."""
         if self.values is None:
@@ -421,6 +462,26 @@ class RegularizedCoefficient:
         xs = g.x_meshes()
         w = 1.0 + sum(x**2 for x in xs)
         return float(np.max(np.abs(self.values.values) * w))
+
+
+class _Tabulated:
+    """A time function read from its values at sorted ``times``, found by
+    ``searchsorted`` and exact equality; other times call ``fn``."""
+
+    __slots__ = ("fn", "times", "values")
+
+    def __init__(self, fn: Callable, times: np.ndarray):
+        self.fn = fn
+        self.times = times
+        self.values = None
+
+    def __call__(self, t):
+        if self.values is None:
+            self.values = np.broadcast_to(np.asarray(self.fn(self.times)), self.times.shape)
+        i = self.times.searchsorted(t)
+        if (self.times.take(i, mode="clip") == t).all():
+            return self.values[i]
+        return self.fn(t)
 
 
 def regularize_space(
@@ -586,28 +647,25 @@ def extend_regularize_a(
         inner = np.clip(t, 0.0, T)
         return np.asarray(a(inner), dtype=float)
 
-    brk = sorted({0.0, T, *map(float, breakpoints)})
-    # 96 nodes integrate the flat-ended bump to machine precision
-    s_nodes, s_w = _gl_nodes(96)
+    brk = np.array(sorted({0.0, T, *map(float, breakpoints)}))
     R = m.radius + abs(m.center)
 
     def conv(t, kernel_order: int):
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros_like(t)
-        lo_all = np.maximum(t - R * eps, -1.0)
-        hi_all = np.minimum(t + R * eps, T + 1.0)
-        for j, (tt, lo, hi) in enumerate(zip(t, lo_all, hi_all)):
-            if hi <= lo:
-                continue
-            cuts = [lo] + [b for b in brk if lo < b < hi] + [hi]
-            acc = 0.0
-            for a0, b0 in zip(cuts[:-1], cuts[1:]):
-                mid = 0.5 * (a0 + b0)
-                half = 0.5 * (b0 - a0)
-                ss = mid + half * s_nodes
-                ker = m.dvalue((tt - ss) / eps, kernel_order) / eps ** (1 + kernel_order)
-                acc += float(np.sum(ker * a_line(ss) * s_w)) * half
-            out[j] = acc
+        scale = eps ** (1 + kernel_order)
+
+        def edges(tb):
+            # the window [t - R eps, t + R eps] inside [-1, T+1], split at
+            # the breakpoints; an empty window has only zero-width panels
+            lo = np.maximum(tb - R * eps, -1.0)
+            hi = np.maximum(np.minimum(tb + R * eps, T + 1.0), lo)
+            return np.column_stack([lo, np.clip(brk, lo[:, None], hi[:, None]), hi])
+
+        def integrand(tb, ss):
+            return m.dvalue((tb - ss) / eps, kernel_order) / scale * a_line(ss)
+
+        # 96 nodes integrate the flat-ended bump to machine precision
+        out = _panel_quadrature(t, edges, integrand, 96)
         return out if out.size > 1 else float(out[0])
 
     def fn(t):
@@ -672,30 +730,29 @@ def _time_conv(a_j, m: Mollifier, eps: float, t: np.ndarray, order: int):
     if isinstance(a_j, ClassicalFn) and a_j.support_radius is not None:
         # integrate in kernel coordinates u = (t - s)/eps so the narrow
         # kernel is always resolved, splitting panels where the function's
-        # support edge crosses the kernel window
-        s_nodes, s_w = _gl_nodes(64)
+        # support edge crosses the kernel window [-Rk, Rk]
+        if m.kind != "bump":
+            raise ParameterError("a classical time coefficient needs a compactly "
+                                 "supported (bump) kernel")
         Rk = m.radius + abs(m.center)
         Rf = a_j.support_radius
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros(t.shape, dtype=np.complex128)
-        for i, tt in enumerate(t.ravel()):
-            cuts = [-Rk, Rk]
-            for edge in ((tt - Rf) / eps, (tt + Rf) / eps):
-                if -Rk < edge < Rk:
-                    cuts.append(edge)
-            cuts = sorted(cuts)
-            acc = 0.0 + 0.0j
-            for a0, b0 in zip(cuts[:-1], cuts[1:]):
-                mid, half = 0.5 * (a0 + b0), 0.5 * (b0 - a0)
-                uu = mid + half * s_nodes
-                ss = tt - eps * uu
-                inside = np.abs(ss) <= Rf
-                fv = np.where(inside, np.asarray(a_j.fn(ss), dtype=np.complex128), 0.0)
-                ker = m.dvalue(uu, order) / eps**order
-                acc += np.sum(ker * fv * s_w) * half
-            out.ravel()[i] = acc
-        out = out.reshape(t.shape)
-        if np.allclose(out.imag, 0):
+        t = np.asarray(t, dtype=float)
+        scale = eps**order
+
+        def edges(tb):
+            inner = np.clip(np.column_stack([(tb - Rf) / eps, (tb + Rf) / eps]), -Rk, Rk)
+            ends = np.full(tb.shape, Rk)
+            return np.column_stack([-ends, inner, ends])
+
+        def integrand(tb, uu):
+            ss = tb - eps * uu
+            fv = np.where(np.abs(ss) <= Rf, np.asarray(a_j.fn(ss), dtype=np.complex128), 0.0)
+            return m.dvalue(uu, order) / scale * fv
+
+        out = _panel_quadrature(t, edges, integrand, 64).reshape(t.shape)
+        # real only when exactly real: a tolerance would drop small
+        # imaginary parts, and differently for different batches of times
+        if not np.any(out.imag):
             out = out.real
         return out if out.size > 1 else out.ravel()[0]
     raise UnsupportedVariantError(f"cannot time-regularize {type(a_j).__name__}")

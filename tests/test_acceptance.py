@@ -140,7 +140,7 @@ def test_c04_lambda_certificates_128():
     g = Grid(2, 128, 5.0)
     chi = CutoffChi()
     choice = choose_parameters(0.4, 1.0, 1.0, 0.0, g, chi, rng=rng)  # M = 0.2
-    ls = build_lambda(choice.M, choice.h, chi, g)
+    ls = choice.lam
     certs = ls.certificates
     support_ok = certs["support_exact"]
     sign_ok = certs["sign_max"] <= 1e-12

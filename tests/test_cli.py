@@ -270,6 +270,24 @@ class TestMainVerbs:
             assert status == 2
             assert f"config error: analysis '{analysis}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("analysis,kind", [
+        ("moderateness", "delta_showcase_1d"), ("energy", "delta_showcase_1d"),
+        ("negligibility", "smooth_classical_1d"), ("consistency", "smooth_classical_1d"),
+    ])
+    def test_net_analyses_need_four_net_points(self, tmp_path, capsys, analysis, kind):
+        assert cli.ANALYSES[analysis].over_net
+        cfg_path = tmp_path / "exp.cfg"
+        text = (SHOWCASE.format(outdir=tmp_path / "out")
+                .replace("delta_showcase_1d", kind)
+                .replace("[moderateness]", f"[{analysis}]"))
+        cfg_path.write_text(text)
+        assert main(["validate", str(cfg_path)]) == 0
+        cfg_path.write_text(text.replace("[0.2, 0.1, 0.05, 0.025]", "[0.2, 0.1, 0.05]"))
+        assert main(["validate", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "require at least 4 net points" in err
+        assert analysis in err
+
     def test_module_entry_point_without_runtime_warning(self):
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ)

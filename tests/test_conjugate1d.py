@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import vwschro.conjugate1d as conjugate1d
+import vwschro.regularize as regularize
 from vwschro.conjugate1d import (
     Problem1D,
     antiderivative_B1,
@@ -262,6 +264,56 @@ class TestSolveOriginal:
         N, _, rel = fit_power_growth(eps_net, sups)
         assert np.isfinite(N) and N > 0
         assert rel < 0.1
+
+
+class TestCoefficientTables:
+    """A solve reads its time coefficients from tables filled once, at
+    every time its steps ask for."""
+
+    ROUTES = [
+        ("original", lambda g: delta_showcase_1d(0.1, grid=g, T=0.1)),
+        ("original", lambda g: smooth_classical_1d(0.1, grid=g, T=0.1)),
+        ("mol", lambda g: smooth_classical_1d(0.1, grid=g, T=0.1)),
+    ]
+
+    @pytest.mark.parametrize("route,build", ROUTES)
+    def test_tabulated_solve_is_the_untabulated_one(self, monkeypatch, grid1d_small,
+                                                    route, build):
+        # dt = 3e-3 does not divide T: the shortened last step is read too
+        def solve():
+            p = build(grid1d_small)
+            if route == "original":
+                return solve_original(p, dt=3e-3, m_set=(0, 1, 2), residual=True)
+            return solve_mol(p, dt=3e-3, m_set=(0, 1, 2))
+
+        tab = solve()
+        monkeypatch.setattr(conjugate1d, "_tabulated", lambda p, dt, half_steps: p)
+        ref = solve()
+        assert np.array_equal(tab.final_state().values, ref.final_state().values)
+        for m in (0, 1, 2):
+            assert np.array_equal(tab.norms[m], ref.norms[m])
+        for key in ("A0_max_seen", "residual_max_rel"):
+            assert tab.meta.get(key) == ref.meta.get(key)
+
+    @pytest.mark.parametrize("solve", [solve_original, solve_mol])
+    def test_quadrature_calls_do_not_grow_with_steps(self, monkeypatch, grid1d_small,
+                                                     solve):
+        # one panel quadrature per table, however many steps read it
+        calls = []
+        inner = regularize._panel_quadrature
+
+        def counted(t, *args):
+            calls.append(np.size(t))
+            return inner(t, *args)
+
+        monkeypatch.setattr(regularize, "_panel_quadrature", counted)
+        p = smooth_classical_1d(0.1, grid=grid1d_small, T=0.1)
+        counts = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            calls.clear()
+            solve(p, dt=dt)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2] > 0
 
 
 class TestEnergyMonitor:
