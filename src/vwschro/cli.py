@@ -358,6 +358,7 @@ def _run_garding(cfg, sink, rng) -> dict:
     write_json(sink / "garding.json", {
         "M": cert.M, "lattice_min": cert.lattice_min, "scale": cert.scale,
         "positive": cert.positive, "quad_bound": cert.quad_bound,
+        "quad_time": cert.quad_time,
     })
     # a failed certificate is a recorded scientific outcome, not an error
     return {"analysis": "garding", "positive": cert.positive,

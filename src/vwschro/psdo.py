@@ -24,7 +24,11 @@ found by a doubling search until the composition residual
 All exponential-symbol applications run through the dense row-sliced
 quantizer of :mod:`spectral`, fed from a per-operator row cache (the
 (x, xi) lattice values of ``e^{lambda}``) and bounded by the same memory
-guard as the generic dense path.
+guard as the generic dense path.  Every symbol row here (the cache, the
+``d_x lambda`` rows, the Garding rows) is evaluated on
+:func:`spectral.slice_lattice` and so arrives in the (k2, x2, k1) order
+the quantizer contracts.  A certificate witness is the first
+extremal point in (x1, x2, k1, k2) order.
 """
 
 from __future__ import annotations
@@ -40,15 +44,14 @@ from .errors import (
     InfeasibleParametersError,
     NotInvertibleError,
     ParameterError,
-    SizeGuardError,
 )
 from .regularize import RegularizedCoefficient
 from .spectral import (
-    DENSE_2D_GUARD,
     Grid,
     GridFn,
     SymbolFn,
     dense_quantize_2d,
+    guard_dense_2d,
     kn_quantize,
     l2_inner,
     l2_norm,
@@ -119,8 +122,9 @@ class LambdaSymbol:
     """Escape-function symbol with its lattice evaluation cache.
 
     The cache stores ``exp(lambda)`` on the (x, xi) product lattice as a
-    list of x1-slices, built lazily on first use; ``exp(-lambda)`` rows
-    are obtained by pointwise reciprocal (lambda is real).
+    list of x1-slices in (k2, x2, k1) order, built lazily on first use;
+    ``exp(-lambda)`` rows are obtained by pointwise reciprocal (lambda is
+    real).
     """
 
     M: float
@@ -131,20 +135,20 @@ class LambdaSymbol:
     _rows: list | None = field(default=None, repr=False)
 
     def lambda_slice(self, j1: int) -> np.ndarray:
-        """lambda on the (x2, k1, k2) lattice for fixed x1 = axis[j1]."""
+        """lambda on the (k2, x2, k1) lattice for fixed x1 = axis[j1]."""
         x, _, X2, K1, K2 = slice_lattice(self.grid)
         return _lambda_values(self.M, self.h, self.chi, x[j1], X2, K1, K2)
 
-    def exp_slice(self, j1: int, sign: int) -> np.ndarray:
+    def exp_slice(self, j1: int) -> np.ndarray:
+        """The cached ``exp(lambda)`` row at x1 = axis[j1]."""
         if self._rows is None:
             self._rows = [None] * self.grid.points
         if self._rows[j1] is None:
             self._rows[j1] = np.exp(self.lambda_slice(j1))
-        row = self._rows[j1]
-        return row if sign > 0 else 1.0 / row
+        return self._rows[j1]
 
     def dlambda_slice(self, j1: int, axis: int) -> np.ndarray:
-        """d lambda / d x_axis on the (x2, k1, k2) lattice at fixed x1."""
+        """d lambda / d x_axis on the (k2, x2, k1) lattice at fixed x1."""
         x, _, X2, K1, K2 = slice_lattice(self.grid)
         return _dlambda_values(self.M, self.h, self.chi, x[j1], X2, K1, K2, axis)
 
@@ -174,8 +178,8 @@ def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid) -> LambdaSymbol
     * support: ``lambda = 0`` wherever ``|xi| <= h/2`` (exact, via the
       cutoff plateau);
     * sign: ``xi . grad_x lambda <= 0`` at every lattice point (the
-      analytic expression is evaluated pointwise; a violation reports the
-      witness point);
+      analytic expression is evaluated pointwise; the witness is the first
+      maximizer in (x1, x2, k1, k2) order);
     * bound: ``sup |lambda| <= M pi/2`` up to roundoff.
     """
     if grid.dimension != 2:
@@ -184,10 +188,7 @@ def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid) -> LambdaSymbol
         raise ParameterError("M must be nonnegative")
     if h < 1.0:
         raise ParameterError("h must be >= 1")
-    if grid.points > DENSE_2D_GUARD:
-        raise SizeGuardError(
-            f"lattice {grid.points}^2 exceeds the dense symbol guard {DENSE_2D_GUARD}^2"
-        )
+    guard_dense_2d(grid)
     ls = LambdaSymbol(M=float(M), h=float(h), chi=chi, grid=grid)
     x, k, X2, K1, K2 = slice_lattice(grid)
     sup_abs = 0.0
@@ -206,7 +207,8 @@ def build_lambda(M: float, h: float, chi: CutoffChi, grid: Grid) -> LambdaSymbol
         fmax = float(np.max(flow))
         if fmax > sign_max:
             sign_max = fmax
-            idx = np.unravel_index(int(np.argmax(flow)), flow.shape)
+            view = flow.transpose(1, 2, 0)  # (x2, k1, k2)
+            idx = np.unravel_index(int(np.argmax(view)), view.shape)
             witness = (float(x[j1]), float(x[idx[0]]), float(k[idx[1]]), float(k[idx[2]]))
     bound = M * np.pi / 2.0 + 1e-12
     certs = {
@@ -238,8 +240,15 @@ def apply_exp_lambda(sign: int, ls: LambdaSymbol, u: GridFn) -> GridFn:
         raise ParameterError("function and symbol live on different grids")
     if ls.M == 0.0:
         return u
-    out = dense_quantize_2d(ls.grid, lambda j1: ls.exp_slice(j1, sign), u.values)
-    return GridFn(ls.grid, out)
+    if sign > 0:
+        row = ls.exp_slice
+    else:
+        buf = np.empty((ls.grid.points,) * 3)
+
+        def row(j1: int) -> np.ndarray:
+            return np.reciprocal(ls.exp_slice(j1), out=buf)
+
+    return GridFn(ls.grid, dense_quantize_2d(ls.grid, row, u.values))
 
 
 def residual_apply(ls: LambdaSymbol, u: GridFn) -> GridFn:
@@ -567,8 +576,10 @@ class GardingCertificate:
 
     ``lattice_min`` is the minimum of the certified symbol over the
     sampled (t, x, xi) lattice, ``scale`` its maximum magnitude,
-    ``witness`` the minimizing point, and ``quad_bound`` the fitted
-    constant C in ``Re <op(p) u, u> >= -C |u|^2`` over random probes.
+    ``witness`` the first minimizing point in (t, x1, x2, k1, k2) order,
+    and ``quad_bound`` the fitted constant C in
+    ``Re <op(p) u, u> >= -C |u|^2`` over random probes of the symbol at
+    ``quad_time``, the witness time.
     """
 
     M: float
@@ -577,6 +588,7 @@ class GardingCertificate:
     positive: bool
     witness: tuple | None
     quad_bound: float
+    quad_time: float
     t_samples: int
 
 
@@ -593,8 +605,8 @@ def garding_certify(
                             chi(<x>/|xi|) - 2 a(t) d_{x_j} lambda } xi_j
 
     on the (t, x, xi) lattice and certify pointwise nonnegativity; fit
-    the quadratic-form lower bound over random probes as the sharp lower
-    order constant surrogate.
+    the quadratic-form lower bound over random probes, at the time of the
+    lattice minimum, as the sharp lower order constant surrogate.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -607,7 +619,7 @@ def garding_certify(
     safe = np.where(mag > 0, mag, 1e-300)
 
     def symbol_rows(t: float):
-        """The symbol at time t, as its x1 slice ``j1 -> (x2, k1, k2)``."""
+        """The symbol at time t, as its x1 slice ``j1 -> (k2, x2, k1)``."""
         a_t = float(p.a(t))
         im1 = np.imag(complex(p.a_coeffs[0](t)) * p.b_fields[0].values)
         im2 = np.imag(complex(p.a_coeffs[1](t)) * p.b_fields[1].values)
@@ -617,7 +629,7 @@ def garding_certify(
             base = 1.0 / (1.0 + s * s)
             cut_x = ls.chi(np.sqrt(1.0 + x[j1] ** 2 + X2**2) / safe)
             return (
-                -(im1[j1][:, None, None] * K1 + im2[j1][:, None, None] * K2)
+                -(im1[j1][None, :, None] * K1 + im2[j1][None, :, None] * K2)
                 * cut_hi
                 * cut_x
                 + 2.0 * a_t * ls.M * mag * base * cut_hi
@@ -637,11 +649,13 @@ def garding_certify(
             scale = max(scale, float(np.max(np.abs(sym))))
             if mn < lattice_min:
                 lattice_min = mn
-                idx = np.unravel_index(int(np.argmin(sym)), sym.shape)
+                view = sym.transpose(1, 2, 0)  # (x2, k1, k2)
+                idx = np.unravel_index(int(np.argmin(view)), view.shape)
                 witness = (float(t), float(x[j1]), float(x[idx[0]]),
                            float(k[idx[1]]), float(k[idx[2]]))
-    # quadratic-form surrogate at the worst sampled time
-    row = symbol_rows(float(ts[t_samples // 2]))
+    # quadratic-form surrogate at the time of the lattice minimum
+    quad_time = witness[0]
+    row = symbol_rows(quad_time)
     worst_quad = 0.0
     for _ in range(quad_probes):
         u = random_bandlimited(g, rng, localized=True)
@@ -651,7 +665,7 @@ def garding_certify(
     return GardingCertificate(
         M=ls.M, lattice_min=lattice_min, scale=scale,
         positive=bool(lattice_min >= -tol), witness=witness,
-        quad_bound=worst_quad, t_samples=t_samples,
+        quad_bound=worst_quad, quad_time=quad_time, t_samples=t_samples,
     )
 
 

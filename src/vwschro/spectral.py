@@ -24,11 +24,6 @@ import numpy as np
 
 from .errors import NumericalBlowupError, ParameterError, SizeGuardError
 
-#: largest per-axis point count for which a dense 2D symbol (values over
-#: the full (x, xi) product lattice) may be quantized; above this the
-#: product lattice no longer fits in desk-scale memory.
-DENSE_2D_GUARD = 128
-
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 2 and (n & (n - 1)) == 0
@@ -101,6 +96,24 @@ class Grid:
         if self.dimension == 1:
             return (k,)
         return tuple(np.meshgrid(k, k, indexing="ij"))
+
+
+#: byte budget of a dense 2D symbol: its values over the full (x, xi)
+#: product lattice, the n^4 float64 row cache of ``e^{lambda}``.  Grids are
+#: powers of two, so 2^31 B admits up to 128 points per axis.
+DENSE_2D_BUDGET_BYTES = 2**31
+
+
+def guard_dense_2d(grid: Grid) -> None:
+    """Refuse a dense 2D symbol whose n^4 float64 lattice exceeds
+    :data:`DENSE_2D_BUDGET_BYTES`; called before any lattice allocation."""
+    need = grid.points**4 * np.dtype(np.float64).itemsize
+    if need > DENSE_2D_BUDGET_BYTES:
+        raise SizeGuardError(
+            f"a dense symbol on the {grid.points}^2 lattice needs {need} B "
+            f"(n^4 float64), over the budget of {DENSE_2D_BUDGET_BYTES} B; "
+            f"use a separable symbol instead"
+        )
 
 
 class GridFn:
@@ -295,7 +308,8 @@ def kn_quantize(p: SymbolFn, u: GridFn) -> GridFn:
     Realized per grid point as the inverse transform of
     ``p(x, .) u_hat(.)``.  Exact (one FFT pair) for pure multipliers and
     for pure multiplication symbols; dense symbols cost
-    ``O(n^2 log n)`` in 1D and ``O(n^4 log n)`` in 2D.
+    ``O(n^2 log n)`` in 1D and ``O(n^4)`` in 2D (see
+    :func:`dense_quantize_2d`).
     """
     g = u.grid
     if p.grid != g:
@@ -318,11 +332,7 @@ def kn_quantize(p: SymbolFn, u: GridFn) -> GridFn:
         uhat = np.fft.fft(u.values)
         rows = np.fft.ifft(P * uhat[None, :], axis=1)
         return GridFn(g, np.diagonal(rows).copy())
-    if g.points > DENSE_2D_GUARD:
-        raise SizeGuardError(
-            f"dense 2D quantization limited to {DENSE_2D_GUARD} points per axis, "
-            f"got {g.points}; use a separable symbol instead"
-        )
+    guard_dense_2d(g)
     x, _, X2, K1, K2 = slice_lattice(g)
 
     def row(j1: int) -> np.ndarray:
@@ -332,34 +342,43 @@ def kn_quantize(p: SymbolFn, u: GridFn) -> GridFn:
 
 
 def slice_lattice(g: Grid) -> tuple[np.ndarray, ...]:
-    """The (x2, k1, k2) lattice of one x1 slice of a 2D symbol:
-    ``(x, k, X2, K1, K2)``, the axes and their broadcastable forms
-    ``x[:, None, None]``, ``k[None, :, None]``, ``k[None, None, :]``."""
+    """The lattice of one x1 slice of a 2D symbol: ``(x, k, X2, K1, K2)``,
+    the axes and their broadcastable forms ``X2 = x[None, :, None]``,
+    ``K1 = k[None, None, :]``, ``K2 = k[:, None, None]``.
+
+    A symbol evaluated on these forms is a (k2, x2, k1) array: the row
+    order :func:`dense_quantize_2d` contracts, with no transpose."""
     x = g.axis()
     k = g.freq_axis()
-    return x, k, x[:, None, None], k[None, :, None], k[None, None, :]
+    return x, k, x[None, :, None], k[None, None, :], k[:, None, None]
 
 
 def dense_quantize_2d(g: Grid, row: Callable[[int], np.ndarray],
                       values: np.ndarray) -> np.ndarray:
-    """Row-sliced dense 2D quantization.
+    """Row-sliced dense 2D quantization, ``O(n^4)``.
 
-    ``row(j1)`` is the symbol on the (x2, k1, k2) lattice at the x1 slice
-    ``j1``.  Per slice the k1 sum is contracted first (einsum against the
-    phase-weighted coefficients), leaving an inverse DFT in k2 evaluated
-    on its diagonal.
+    ``row(j1)`` is the symbol at the x1 slice ``j1`` as a (k2, x2, k1)
+    array (the order of :func:`slice_lattice`).  Per slice
+    the k1 sum is one matrix product batched over k2, against the
+    phase-weighted coefficients ``W[k2, k1]``: a real symbol is multiplied
+    by ``W``'s real and imaginary parts as two real columns, so it is
+    never cast to complex.  The k2 sum is then contracted directly against
+    the phases at x2.
     """
     n = g.points
     c = np.fft.fft2(values) / (n * n)  # coefficient of e^{i k x} per mode
+    idx = np.arange(n)
+    phase = np.exp(2j * np.pi * (np.outer(idx, idx) % n) / n)  # symmetric
     out = np.empty((n, n), dtype=np.complex128)
-    j2 = np.arange(n)
-    phase1 = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n)
     for j1 in range(n):
         P = row(j1)
-        W = c * phase1[j1][:, None]
-        T = np.einsum("jab,ab->jb", P, W)
-        F = np.fft.ifft(T, axis=1) * n
-        out[j1, :] = F[j2, j2]
+        W = (c * phase[j1][:, None]).T  # (k2, k1)
+        if np.iscomplexobj(P):
+            T = np.matmul(P, W[:, :, None])[:, :, 0]
+        else:
+            R = np.matmul(P, np.stack([W.real, W.imag], axis=-1))
+            T = R[:, :, 0] + 1j * R[:, :, 1]
+        out[j1, :] = np.sum(T * phase, axis=0)  # (k2, x2) against e^{i k2 x2}
     return out
 
 

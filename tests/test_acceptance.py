@@ -75,6 +75,7 @@ def test_c01_plane_wave_anchor():
            f"1D err {err1:.2e}, 2D err {err2:.2e}")
 
 
+@pytest.mark.slow
 def test_c02_conjugation_identities():
     rng = np.random.default_rng(7)
     g1 = Grid(1, 8192, 20.0)
@@ -135,6 +136,7 @@ def test_c03_unitarity():
            f"1D drift {drift1:.2e}, 2D drift {drift2:.2e}")
 
 
+@pytest.mark.slow
 def test_c04_lambda_certificates_128():
     rng = np.random.default_rng(3)
     g = Grid(2, 128, 5.0)

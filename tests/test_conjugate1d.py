@@ -236,7 +236,6 @@ class TestSolveOriginal:
         drift = np.max(np.abs(tr.norms[0] - tr.norms[0][0])) / tr.norms[0][0]
         assert drift < 1e-8
 
-    @pytest.mark.slow
     def test_residual_oracle_on_showcase(self):
         # direct operator application oracle: the defect of the computed
         # solution under the original operator, max over the run

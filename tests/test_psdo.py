@@ -1,6 +1,8 @@
 """2D conjugation machinery: cutoff, escape symbol, exponential operators,
 Neumann inversion, operator bundle, positivity certificate, solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,15 @@ from vwschro.psdo import (
     select_M,
     solve2d,
 )
-from vwschro.spectral import Grid, GridFn, l2_norm, operator_norm_probe, random_bandlimited
+from vwschro.spectral import (
+    Grid,
+    GridFn,
+    SymbolFn,
+    kn_quantize,
+    l2_norm,
+    operator_norm_probe,
+    random_bandlimited,
+)
 
 
 def band_probe(g, rng, klo, khi):
@@ -59,14 +69,14 @@ class TestLambdaSymbol:
         k = grid2d.freq_axis()
         K1, K2 = np.meshgrid(k, k, indexing="ij")
         low = np.hypot(K1, K2) <= 2.0
-        assert np.all(lam[:, low] == 0.0)
+        assert np.all(lam.transpose(1, 2, 0)[:, low] == 0.0)
 
     def test_zero_on_x_origin_ray(self, grid2d):
         # lambda(0, xi) = 0: the odd primitive vanishes at x = 0
         ls = build_lambda(1.0, 2.0, CutoffChi(), grid2d)
         j_half = grid2d.points // 2  # x1 = 0 row
         lam = ls.lambda_slice(j_half)
-        assert np.max(np.abs(lam[j_half])) == 0.0  # x2 = 0 too
+        assert np.max(np.abs(lam[:, j_half, :])) == 0.0  # x2 = 0 too
 
     def test_sign_condition(self, grid2d):
         ls = build_lambda(0.7, 2.0, CutoffChi(), grid2d)
@@ -83,6 +93,21 @@ class TestLambdaSymbol:
             build_lambda(-1.0, 2.0, CutoffChi(), grid2d)
         with pytest.raises(ParameterError):
             build_lambda(1.0, 0.5, CutoffChi(), grid2d)
+
+    def test_sign_witness_first_in_c_order(self):
+        # the sign maximum 0 is tied on the whole cutoff plateau; the
+        # witness is its first point in (x1, x2, k1, k2) C order
+        g, M, h, chi = Grid(2, 16, 5.0), 0.7, 2.0, CutoffChi()
+        ls = build_lambda(M, h, chi, g)
+        x, k = g.axis(), g.freq_axis()
+        X1, X2, K1, K2 = np.meshgrid(x, x, k, k, indexing="ij")
+        mag = np.hypot(K1, K2)
+        safe = np.where(mag > 0, mag, 1.0)
+        s = (X1 * K1 + X2 * K2) / safe
+        flow = -M * mag / (1.0 + s * s) * chi.one_minus(mag / h)
+        assert np.count_nonzero(flow == flow.max()) > 1
+        i = np.unravel_index(int(np.argmax(flow)), flow.shape)
+        assert ls.certificates["sign_witness"] == (x[i[0]], x[i[1]], k[i[2]], k[i[3]])
 
 
 class TestSelectParameters:
@@ -172,6 +197,23 @@ class TestExpLambda:
         rhs = apply_exp_lambda(1, ls, u) + 2.0 * apply_exp_lambda(1, ls, v)
         assert l2_norm(lhs - rhs) < 1e-12
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matches_dense_symbol(self, sign, rng):
+        # oracle: the generic dense quantizer on exp(sign lambda), evaluated
+        # from the formula, with no row cache and no reciprocal
+        g, M, h, chi = Grid(2, 16, 10.0), 0.8, 2.0, CutoffChi()
+        ls = build_lambda(M, h, chi, g)
+
+        def exp_lam(x1, x2, k1, k2):
+            mag = np.hypot(k1, k2)
+            safe = np.where(mag > 0, mag, 1.0)
+            lam = -M * np.arctan((x1 * k1 + x2 * k2) / safe) * chi.one_minus(mag / h)
+            return np.exp(sign * lam)
+
+        u = random_bandlimited(g, rng)
+        ref = kn_quantize(SymbolFn.dense(g, exp_lam), u)
+        assert l2_norm(apply_exp_lambda(sign, ls, u) - ref) <= 1e-12 * l2_norm(ref)
+
     def test_amplification_envelope(self, grid2d, rng):
         # probe oracle: L2 amplification stays under e^{C M} with a
         # moderate fitted C across random probes
@@ -192,6 +234,7 @@ class TestNeumannInverse:
         u = random_bandlimited(grid2d, rng)
         assert l2_norm(inv.apply(u) - u) == 0.0
 
+    @pytest.mark.slow
     def test_residual_quality(self, grid2d, rng):
         # composition residual oracle over random bandlimited probes
         choice = choose_parameters(0.7, 1.0, 1.0, 0.0, grid2d, CutoffChi(), rng=rng)
@@ -254,6 +297,7 @@ class TestConjugatedBundle:
             d = bundle.apply_full(0.1, u) - bundle.apply_S(0.1, u)
             assert l2_norm(d) < 1e-10
 
+    @pytest.mark.slow
     def test_d0_probe_finite_and_bounded(self, grid2d, rng):
         # first-order coefficients off, M > 0: the zero-order lump is the
         # whole correction; its probe norm stays under the fitted e^{CM}
@@ -313,6 +357,37 @@ class TestGarding:
         assert not cert.positive
         assert cert.witness is not None
         assert cert.lattice_min < -1e-9 * max(cert.scale, 1.0)
+
+    def test_quadratic_form_probed_at_witness_time(self, grid2d, rng):
+        kappa = 0.5
+        p = saturating_problem(grid2d, kappa=kappa)
+        C = imag_coefficient_bound(p.a_coeffs, p.b_fields, p.T)
+        ls = build_lambda(0.5 * select_M(C, p.ca, 1.0, 0.0), 2.0,
+                          CutoffChi(), grid2d)
+        cert = garding_certify(p, ls, rng=rng)
+        assert cert.quad_time == cert.witness[0]
+
+    def test_witness_first_in_c_order(self, rng):
+        # Im(a1 b1) = 1/2, b2 = 0, M = 0: the minimum -k1_max/2 is tied
+        # wherever both cutoffs are exactly 1, over many (x2, k2) pairs
+        g, h, chi = Grid(2, 16, 3.0), 2.0, CutoffChi()
+        ones = np.ones(g.shape)
+        p = dataclasses.replace(saturating_problem(g),
+                                b_fields=(GridFn(g, 0.5j * ones), GridFn(g, 0.0 * ones)))
+        cert = garding_certify(p, build_lambda(0.0, h, chi, g), t_samples=2,
+                               quad_probes=1, rng=rng)
+        x, k = g.axis(), g.freq_axis()
+        X1, X2, K1, K2 = np.meshgrid(x, x, k, k, indexing="ij")
+        mag = np.hypot(K1, K2)
+        safe = np.where(mag > 0, mag, 1e-300)
+        sym = (-(0.5 * K1 + 0.0 * K2) * chi.one_minus(mag / h)
+               * chi(np.sqrt(1.0 + X1**2 + X2**2) / safe))
+        ties = sym == sym.min()
+        i = np.unravel_index(int(np.argmin(sym)), sym.shape)
+        assert cert.witness == (0.0, x[i[0]], x[i[1]], k[i[2]], k[i[3]])
+        # within its slice, (k2, x2, k1) order breaks the tie elsewhere
+        j = np.unravel_index(int(np.argmax(ties[i[0]].transpose(2, 0, 1))), (16,) * 3)
+        assert (j[1], j[2], j[0]) != i[1:]
 
     def test_quadratic_form_bound_reported(self, grid2d, rng):
         p = saturating_problem(grid2d, kappa=0.3)

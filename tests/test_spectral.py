@@ -148,8 +148,9 @@ class TestQuantize:
         g = Grid(2, 256, 10.0)
         u = GridFn(g, np.zeros(g.shape))
         p = SymbolFn.dense(g, lambda a, b, c, d: np.ones(1))
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(SizeGuardError) as err:
             kn_quantize(p, u)
+        assert str(256**4 * 8) in str(err.value)
 
     def test_dense_2d_anchors(self, grid2d_small, rng):
         g = grid2d_small
@@ -165,6 +166,46 @@ class TestQuantize:
         )
         refx = GridFn(g, np.cos(x1) * np.sin(x2) * u.values)
         assert l2_norm(kn_quantize(px, u) - refx) < 1e-10
+
+
+# Symbols that mix x and xi and are not separable, with real and complex
+# values: the two matrix-product paths of the dense 2D quantizer.
+def _mixed_real(x1, x2, k1, k2):
+    return (1.0 + x1 * k2 - 0.5 * x2 * k1) ** 2 / (1.0 + x1**2 + (x2 * k2) ** 2)
+
+
+def _mixed_complex(x1, x2, k1, k2):
+    return _mixed_real(x1, x2, k1, k2) * np.exp(1j * (x1 * k1 - 0.3 * x2 * k2) / 3.0)
+
+
+class TestDense2D:
+    """The dense 2D quantizer against oracles that share none of its code."""
+
+    @pytest.mark.parametrize("sym", [_mixed_real, _mixed_complex])
+    def test_explicit_double_sum(self, sym, rng):
+        # p(x, D) u (x) = sum_k p(x, k) c_k e^{i k.x}, c_k = n^-2 sum_y u(y) e^{-i k.y}
+        g = Grid(2, 16, 4.0)
+        x, k = g.axis(), g.freq_axis()
+        X1, X2, K1, K2 = np.meshgrid(x, x, k, k, indexing="ij")
+        E = np.exp(1j * (K1 * X1 + K2 * X2))
+        u = random_bandlimited(g, rng, band_frac=1.0)
+        c = np.einsum("abcd,ab->cd", np.conj(E), u.values) / g.size
+        ref = np.einsum("abcd,cd,abcd->ab", sym(X1, X2, K1, K2), c, E)
+        out = kn_quantize(SymbolFn.dense(g, sym), u).values
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sym", [_mixed_real, _mixed_complex])
+    def test_plane_waves_exact(self, sym):
+        # p(x, D) e^{i k.x} = p(x, k) e^{i k.x} at every lattice k
+        g = Grid(2, 8, 3.0)
+        x1, x2 = g.x_meshes()
+        p = SymbolFn.dense(g, sym)
+        for k1 in g.freq_axis():
+            for k2 in g.freq_axis():
+                wave = np.exp(1j * (k1 * x1 + k2 * x2))
+                ref = sym(x1, x2, k1, k2) * wave
+                out = kn_quantize(p, GridFn(g, wave)).values
+                assert np.max(np.abs(out - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
 
 
 class TestNormProbe:
